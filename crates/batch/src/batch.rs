@@ -5,6 +5,7 @@ use crate::datatype::ScalarValue;
 use crate::schema::Schema;
 use quokka_common::{QuokkaError, Result};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// An immutable bundle of equal-length columns with a schema.
 ///
@@ -159,6 +160,12 @@ impl Batch {
         if self.schema() == target {
             return Ok(self);
         }
+        self.project_to(target)
+    }
+
+    /// [`select_to`](Batch::select_to) by reference: clone only the columns
+    /// of `target`. Scans read shared base-table splits this way.
+    pub fn project_to(&self, target: &Schema) -> Result<Batch> {
         let indices = target
             .fields()
             .iter()
@@ -191,6 +198,21 @@ impl Batch {
     /// whenever columns are dictionary-, bit-pack- or XOR-encoded.
     pub fn memory_bytes(&self) -> usize {
         self.columns.iter().map(Column::memory_bytes).sum()
+    }
+
+    /// Joint in-memory footprint of `batches`, counting a dictionary that
+    /// several columns or batches share (the chunks of one encoded table
+    /// column) once instead of once per column.
+    pub fn shared_memory_bytes(batches: &[Batch]) -> usize {
+        let mut dictionaries = std::collections::HashSet::new();
+        let mut bytes = 0;
+        for column in batches.iter().flat_map(|b| b.columns.iter()) {
+            bytes += match column {
+                Column::Dict(d) if !dictionaries.insert(Arc::as_ptr(&d.values)) => d.codes_bytes(),
+                other => other.memory_bytes(),
+            };
+        }
+        bytes
     }
 
     /// Split this batch into chunks of at most `chunk_rows` rows. Returns at

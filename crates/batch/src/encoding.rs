@@ -194,9 +194,20 @@ impl DictColumn {
         Arc::ptr_eq(&self.values, &other.values)
     }
 
-    /// Encoded in-memory footprint in bytes.
+    /// Encoded in-memory footprint in bytes: the codes plus the whole
+    /// dictionary.
     pub fn memory_bytes(&self) -> usize {
-        4 * self.codes.len() + self.values.iter().map(|v| v.len() + 4).sum::<usize>()
+        self.codes_bytes() + self.dictionary_bytes()
+    }
+
+    /// Footprint of the codes alone.
+    pub fn codes_bytes(&self) -> usize {
+        4 * self.codes.len()
+    }
+
+    /// Footprint of the dictionary alone, which slices of one column share.
+    pub fn dictionary_bytes(&self) -> usize {
+        self.values.iter().map(|v| v.len() + 4).sum()
     }
 }
 

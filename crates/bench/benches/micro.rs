@@ -74,7 +74,7 @@ fn bench_lineage_commit(c: &mut Criterion) {
                 prev_channel: None,
                 next_task: Some(TaskEntry { task: channel.task(seq + 1), worker: 0 }),
             };
-            gcs.commit_task(&commit).unwrap();
+            gcs.commit_task(&commit, false).unwrap();
             seq += 1;
         })
     });

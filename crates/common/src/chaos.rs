@@ -15,13 +15,16 @@ use crate::rng::DetRng;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
-/// When an injection fires. All triggers are monotone counters maintained by
-/// the engine, so "at" means "the first time the counter reaches the
-/// threshold" — never twice, never on a clock.
+/// When an injection fires. All triggers are monotone counters over task
+/// commits, so "at" means "at the commit that first makes the counter reach
+/// the threshold" — never twice, never on a clock. That commit raises the
+/// recovery barrier in its own transaction, so no later commit lands before
+/// the event has been applied.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ChaosTrigger {
     /// Fire once this fraction of the query's source splits has been
-    /// consumed (0.0 ..= 1.0). The trigger `FailureSpec` uses.
+    /// consumed (0.0 ..= 1.0; splits re-read by recovery count again). The
+    /// trigger `FailureSpec` uses.
     Progress(f64),
     /// Fire once the engine has committed this many tasks in total. This is
     /// the "kill at a task-commit boundary" trigger: sweeping the threshold
@@ -31,6 +34,11 @@ pub enum ChaosTrigger {
     /// executed — i.e. while recovery from an earlier fault is still in
     /// flight. Used to inject a second failure mid-recovery.
     RecoveryTasks(u64),
+    /// Fire once `worker` has made this many commits that leave operator
+    /// state behind: commits of a stateful stage (join, aggregate, sort)
+    /// whose channel is not finished yet. Killing `worker` at that commit
+    /// provably loses state that recovery must rebuild by lineage replay.
+    StatefulCommits { worker: WorkerId, commits: u64 },
 }
 
 /// What happens when a trigger fires.
@@ -112,6 +120,16 @@ impl ChaosPlan {
     /// Kill `worker` at an input-progress fraction (the `FailureSpec` shape).
     pub fn kill_at_progress(worker: WorkerId, fraction: f64) -> Self {
         Self::new().with(ChaosTrigger::Progress(fraction), ChaosEvent::KillWorker { worker })
+    }
+
+    /// Kill `worker` at its first commit that leaves operator state behind
+    /// (see [`ChaosTrigger::StatefulCommits`]): recovery then always has
+    /// state to rebuild, however fast the query runs.
+    pub fn kill_holding_state(worker: WorkerId) -> Self {
+        Self::new().with(
+            ChaosTrigger::StatefulCommits { worker, commits: 1 },
+            ChaosEvent::KillWorker { worker },
+        )
     }
 
     /// Fold legacy `FailureSpec`s into chaos injections so the engine has a

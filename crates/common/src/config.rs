@@ -547,7 +547,14 @@ impl EngineConfig {
     /// a bad override fails the query with [`QuokkaError::Config`] instead
     /// of being ignored.
     pub fn resolve_env(&mut self) -> Result<()> {
-        if let Ok(raw) = std::env::var("QUOKKA_WATCHDOG_SECS") {
+        self.resolve_env_from(|name| std::env::var(name).ok())
+    }
+
+    /// [`resolve_env`](Self::resolve_env) over an arbitrary variable
+    /// lookup, so callers (and tests) can resolve overrides without
+    /// touching the process environment.
+    pub fn resolve_env_from(&mut self, lookup: impl Fn(&str) -> Option<String>) -> Result<()> {
+        if let Some(raw) = lookup("QUOKKA_WATCHDOG_SECS") {
             let secs: u64 = raw.parse().map_err(|_| {
                 QuokkaError::config(format!(
                     "QUOKKA_WATCHDOG_SECS must be a whole number of seconds, got {raw:?}"
@@ -560,7 +567,7 @@ impl EngineConfig {
             }
             self.watchdog = Duration::from_secs(secs);
         }
-        if let Ok(raw) = std::env::var("QUOKKA_TRANSPORT") {
+        if let Some(raw) = lookup("QUOKKA_TRANSPORT") {
             self.transport.kind = match raw.as_str() {
                 "inproc" => TransportKind::Inproc,
                 "tcp" => TransportKind::Tcp,
@@ -704,48 +711,52 @@ mod tests {
         assert_eq!(cfg.transport.slab_bytes, TransportConfig::inproc().slab_bytes);
 
         // Env override: valid values switch the kind, garbage is rejected
-        // loudly. One test covers set/invalid/unset so the process-global
-        // variable is never observed mid-change by a sibling test.
+        // loudly. The overrides come from a map, not the process
+        // environment, so sibling tests cannot observe them.
         let mut cfg = EngineConfig::quokka(2);
-        std::env::set_var("QUOKKA_TRANSPORT", "tcp");
-        cfg.resolve_env().expect("valid override");
+        cfg.resolve_env_from(env(&[("QUOKKA_TRANSPORT", "tcp")])).expect("valid override");
         assert_eq!(cfg.transport.kind, TransportKind::Tcp);
 
-        std::env::set_var("QUOKKA_TRANSPORT", "inproc");
-        cfg.resolve_env().expect("valid override");
+        cfg.resolve_env_from(env(&[("QUOKKA_TRANSPORT", "inproc")])).expect("valid override");
         assert_eq!(cfg.transport.kind, TransportKind::Inproc);
 
-        std::env::set_var("QUOKKA_TRANSPORT", "carrier-pigeon");
-        let err = cfg.resolve_env().expect_err("malformed override must be rejected");
+        let err = cfg
+            .resolve_env_from(env(&[("QUOKKA_TRANSPORT", "carrier-pigeon")]))
+            .expect_err("malformed override must be rejected");
         assert!(matches!(err, QuokkaError::Config(_)), "got {err}");
         assert!(err.to_string().contains("QUOKKA_TRANSPORT"));
 
-        std::env::remove_var("QUOKKA_TRANSPORT");
         let mut fresh = EngineConfig::quokka(2);
-        fresh.resolve_env().expect("no override");
+        fresh.resolve_env_from(env(&[])).expect("no override");
         assert_eq!(fresh.transport.kind, TransportKind::Inproc);
     }
 
     #[test]
     fn watchdog_env_override_is_validated_loudly() {
-        // One test covers set/invalid/unset so the process-global variable
-        // is never observed mid-change by a sibling test.
         let mut cfg = EngineConfig::quokka(2);
-        std::env::set_var("QUOKKA_WATCHDOG_SECS", "45");
-        cfg.resolve_env().expect("valid override");
+        cfg.resolve_env_from(env(&[("QUOKKA_WATCHDOG_SECS", "45")])).expect("valid override");
         assert_eq!(cfg.watchdog, Duration::from_secs(45));
 
-        std::env::set_var("QUOKKA_WATCHDOG_SECS", "five");
-        let err = cfg.resolve_env().expect_err("malformed override must be rejected");
+        let err = cfg
+            .resolve_env_from(env(&[("QUOKKA_WATCHDOG_SECS", "five")]))
+            .expect_err("malformed override must be rejected");
         assert!(matches!(err, QuokkaError::Config(_)), "got {err}");
         assert!(err.to_string().contains("QUOKKA_WATCHDOG_SECS"));
 
-        std::env::set_var("QUOKKA_WATCHDOG_SECS", "0");
-        assert!(cfg.resolve_env().is_err(), "zero disables the watchdog; reject it");
+        assert!(
+            cfg.resolve_env_from(env(&[("QUOKKA_WATCHDOG_SECS", "0")])).is_err(),
+            "zero disables the watchdog; reject it"
+        );
 
-        std::env::remove_var("QUOKKA_WATCHDOG_SECS");
         let mut fresh = EngineConfig::quokka(2);
-        fresh.resolve_env().expect("no override");
+        fresh.resolve_env_from(env(&[])).expect("no override");
         assert_eq!(fresh.watchdog, Duration::from_secs(120));
+    }
+
+    /// A variable lookup over fixed `(name, value)` pairs.
+    fn env(vars: &[(&str, &str)]) -> impl Fn(&str) -> Option<String> {
+        let vars: std::collections::BTreeMap<String, String> =
+            vars.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+        move |name| vars.get(name).cloned()
     }
 }

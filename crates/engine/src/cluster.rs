@@ -39,13 +39,13 @@ use quokka_common::metrics::{MetricsRegistry, PeerWireStats};
 use quokka_common::{QuokkaError, Result};
 use quokka_gcs::remote::{
     self, ControlClient, OP_DURABLE_CONTAINS, OP_DURABLE_GET, OP_DURABLE_LIST, OP_DURABLE_PUT,
-    OP_HEARTBEAT, OP_SINK_EMIT, OP_WIRE_STATS,
+    OP_DURABLE_READ_SPLIT, OP_HEARTBEAT, OP_SINK_EMIT, OP_WIRE_STATS,
 };
-use quokka_gcs::tables::{ChannelState, TaskEntry};
 use quokka_gcs::{Gcs, KvStore};
 use quokka_net::{DataPlane, FlightServer, TcpTransport};
+use quokka_plan::catalog::TableSplits;
 use quokka_plan::stage::StageGraph;
-use quokka_storage::{CostModel, DurableObjectStore, LocalBackupStore, ObjectStore};
+use quokka_storage::{CostModel, DurableObjectStore, ObjectStore};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -123,26 +123,17 @@ impl RemoteDurable {
     pub fn new(client: Arc<ControlClient>) -> Self {
         RemoteDurable { client }
     }
-
-    fn put_impl(&self, key: String, payload: Bytes, metered: bool) {
-        let mut req = Vec::with_capacity(key.len() + payload.len() + 16);
-        wire::put_u8(&mut req, OP_DURABLE_PUT);
-        wire::put_str(&mut req, &key);
-        wire::put_bool(&mut req, metered);
-        wire::put_bytes(&mut req, &payload);
-        if let Err(e) = self.client.request(&req) {
-            panic!("durable store connection to driver lost: {e}");
-        }
-    }
 }
 
 impl ObjectStore for RemoteDurable {
     fn put(&self, key: String, payload: Bytes) {
-        self.put_impl(key, payload, true);
-    }
-
-    fn put_unmetered(&self, key: String, payload: Bytes) {
-        self.put_impl(key, payload, false);
+        let mut req = Vec::with_capacity(key.len() + payload.len() + 16);
+        wire::put_u8(&mut req, OP_DURABLE_PUT);
+        wire::put_str(&mut req, &key);
+        wire::put_bytes(&mut req, &payload);
+        if let Err(e) = self.client.request(&req) {
+            panic!("durable store connection to driver lost: {e}");
+        }
     }
 
     fn get(&self, key: &str) -> Result<Bytes> {
@@ -185,6 +176,24 @@ impl ObjectStore for RemoteDurable {
             Ok(keys) => keys,
             Err(e) => panic!("durable store connection to driver lost: {e}"),
         }
+    }
+
+    /// One control round trip: the driver projects the split to `schema`
+    /// and encodes only those columns, so unread columns never cross the
+    /// socket.
+    fn read_split(&self, table: &str, split: u64, schema: &Schema) -> Result<Batch> {
+        let mut req = Vec::with_capacity(table.len() + 64);
+        wire::put_u8(&mut req, OP_DURABLE_READ_SPLIT);
+        wire::put_str(&mut req, table);
+        wire::put_u64(&mut req, split);
+        // The requested columns travel as an empty batch: the wire format's
+        // schema header.
+        wire::encode_batch_into(&Batch::empty(schema.clone()), &mut req);
+        let resp = self.client.request(&req)?;
+        let mut r = WireReader::new(&resp);
+        let batch = wire::decode_batch_from(&mut r)?;
+        r.expect_end()?;
+        Ok(batch)
     }
 }
 
@@ -305,15 +314,18 @@ fn try_dispatch(payload: &[u8], state: &ControlState) -> Result<Vec<u8>> {
         }
         OP_DURABLE_PUT => {
             let key = r.str()?;
-            let metered = r.bool()?;
             let payload = Bytes::from(r.bytes()?.to_vec());
             r.expect_end()?;
-            if metered {
-                state.durable.put(key, payload);
-            } else {
-                state.durable.put_unmetered(key, payload);
-            }
+            state.durable.put(key, payload);
             Ok(remote::ok_frame(|_| {}))
+        }
+        OP_DURABLE_READ_SPLIT => {
+            let table = r.str()?;
+            let split = r.u64()?;
+            let schema = wire::decode_batch_from(&mut r)?.schema().clone();
+            r.expect_end()?;
+            let batch = state.durable.read_split(&table, split, &schema)?;
+            Ok(remote::ok_frame(|buf| wire::encode_batch_into(&batch, buf)))
         }
         OP_DURABLE_CONTAINS => {
             let key = r.str()?;
@@ -429,8 +441,8 @@ pub struct ProcessQuery {
     pub graph: StageGraph,
     /// Schema of the query result.
     pub output_schema: Schema,
-    /// Base table snapshots, loaded into the driver's durable store.
-    pub tables: BTreeMap<String, Vec<Batch>>,
+    /// Base table snapshots, served by the driver's durable store.
+    pub tables: BTreeMap<String, TableSplits>,
     /// Path to the `quokka-workerd` binary.
     pub workerd: std::path::PathBuf,
     /// Extra arguments handed to every workerd (e.g. `--query 3 --sf 0.01`)
@@ -448,59 +460,42 @@ pub struct ProcessQuery {
 /// stream back over the control connection and are collected here.
 pub fn run_process_query(query: ProcessQuery) -> Result<QueryOutcome> {
     let config = &query.config;
+    if !config.chaos.is_empty() || !config.failures.is_empty() {
+        // Chaos triggers count commits made in the driver's process; here
+        // every commit happens in a workerd.
+        return Err(QuokkaError::Config(
+            "process mode injects faults with KillPlan, not ChaosPlan/FailureSpec".to_string(),
+        ));
+    }
     let cost = CostModel::new(config.cost);
     let metrics = MetricsRegistry::new();
-    let durable = Arc::new(DurableObjectStore::new(cost, Arc::clone(&metrics)));
-
-    let mut table_splits = BTreeMap::new();
-    for (table, batches) in &query.tables {
-        for (index, batch) in batches.iter().enumerate() {
-            durable.put_unmetered(
-                Services::table_split_key(table, index as u64),
-                encode_partition(std::slice::from_ref(batch)),
-            );
-        }
-        table_splits.insert(table.clone(), batches.len() as u64);
-    }
+    let table_splits =
+        query.tables.iter().map(|(table, splits)| (table.clone(), splits.len() as u64)).collect();
+    let durable = Arc::new(DurableObjectStore::new(cost, Arc::clone(&metrics), query.tables));
 
     let layout = Arc::new(QueryLayout::new(query.graph.clone(), &config.cluster, &table_splits)?);
     let gcs = Arc::new(Gcs::new(cost.gcs_delay()));
     // The driver's own data plane carries no shuffle traffic (it hosts no
     // workers); the real TCP mesh lives in the workerd processes.
     let plane = Arc::new(DataPlane::new(config.cluster.workers, cost, Arc::clone(&metrics)));
-    let backups: Vec<Arc<LocalBackupStore>> = (0..config.cluster.workers)
-        .map(|w| Arc::new(LocalBackupStore::new(w, cost, Arc::clone(&metrics))))
-        .collect();
-
-    for addr in layout.all_channels() {
-        let worker = layout.initial_worker(addr);
-        let state = ChannelState::new(addr, worker, layout.upstream_channels(addr.stage).len());
-        gcs.put_channel(&state);
-        gcs.put_task(&TaskEntry { task: addr.task(0), worker });
-    }
 
     let (tx, rx) = channel::<StreamEvent>();
     let cancel = Arc::new(AtomicBool::new(false));
     let delivered_sinks = Arc::new(Mutex::new(std::collections::HashSet::new()));
     let services = Arc::new(Services {
-        config: config.clone(),
-        layout,
-        gcs: Arc::clone(&gcs),
-        plane,
-        backups,
-        durable: durable.clone() as Arc<dyn ObjectStore>,
-        sink: Mutex::new(tx.clone()),
-        metrics: Arc::clone(&metrics),
-        killed: (0..config.cluster.workers).map(|_| AtomicBool::new(false)).collect(),
         cancelled: Arc::clone(&cancel),
-        cost,
-        heartbeats: (0..config.cluster.workers).map(|_| Default::default()).collect(),
-        heartbeat_suppressed: (0..config.cluster.workers).map(|_| Default::default()).collect(),
-        suspected: (0..config.cluster.workers).map(|_| Default::default()).collect(),
-        straggler_tasks: (0..config.cluster.workers).map(|_| Default::default()).collect(),
-        straggler_micros: (0..config.cluster.workers).map(|_| Default::default()).collect(),
         delivered_sinks: Some(Arc::clone(&delivered_sinks)),
+        ..Services::new(
+            config.clone(),
+            layout,
+            Arc::clone(&gcs),
+            plane,
+            durable.clone() as Arc<dyn ObjectStore>,
+            tx.clone(),
+            Arc::clone(&metrics),
+        )
     });
+    services.register_channels();
 
     let server = ControlServer::bind(Arc::clone(&services), Arc::clone(&durable))?;
     let driver_addr = server.addr();
@@ -668,13 +663,7 @@ pub fn run_workerd(opts: WorkerdOpts) -> Result<()> {
         .cloned()
         .ok_or_else(|| QuokkaError::Config("process index out of range".to_string()))?;
 
-    let mut table_splits = opts.table_splits;
-    // Defensive: recompute against the shared durable store if empty, so a
-    // bespoke workerd caller can omit the counts.
-    if table_splits.is_empty() {
-        table_splits = BTreeMap::new();
-    }
-    let layout = Arc::new(QueryLayout::new(opts.graph, &opts.config.cluster, &table_splits)?);
+    let layout = Arc::new(QueryLayout::new(opts.graph, &opts.config.cluster, &opts.table_splits)?);
 
     // Inboxes for every worker exist in every process, but only frames for
     // locally hosted workers ever arrive (peers connect lanes per worker).
@@ -713,10 +702,6 @@ pub fn run_workerd(opts: WorkerdOpts) -> Result<()> {
     let plane =
         Arc::new(DataPlane::from_parts(servers, cost, Arc::clone(&metrics), Box::new(transport)));
 
-    let backups: Vec<Arc<LocalBackupStore>> = (0..workers)
-        .map(|w| Arc::new(LocalBackupStore::new(w, cost, Arc::clone(&metrics))))
-        .collect();
-
     // Sink forwarder: relay local sink commits to the driver's collector.
     let (tx, rx) = channel::<StreamEvent>();
     let sink_client = Arc::clone(&client);
@@ -740,25 +725,15 @@ pub fn run_workerd(opts: WorkerdOpts) -> Result<()> {
         })
         .map_err(|e| QuokkaError::Transient(format!("sink forwarder spawn failed: {e}")))?;
 
-    let services = Arc::new(Services {
-        config: opts.config.clone(),
+    let services = Arc::new(Services::new(
+        opts.config.clone(),
         layout,
-        gcs: Arc::clone(&gcs),
+        Arc::clone(&gcs),
         plane,
-        backups,
         durable,
-        sink: Mutex::new(tx),
-        metrics: Arc::clone(&metrics),
-        killed: (0..workers).map(|_| AtomicBool::new(false)).collect(),
-        cancelled: Arc::new(AtomicBool::new(false)),
-        cost,
-        heartbeats: (0..workers).map(|_| Default::default()).collect(),
-        heartbeat_suppressed: (0..workers).map(|_| Default::default()).collect(),
-        suspected: (0..workers).map(|_| Default::default()).collect(),
-        straggler_tasks: (0..workers).map(|_| Default::default()).collect(),
-        straggler_micros: (0..workers).map(|_| Default::default()).collect(),
-        delivered_sinks: None,
-    });
+        tx,
+        Arc::clone(&metrics),
+    ));
 
     eprintln!(
         "quokka-workerd: process {} hosting workers {}..{} connected to {}",
@@ -833,6 +808,54 @@ pub fn run_workerd(opts: WorkerdOpts) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quokka_batch::{Column, DataType};
+    use quokka_plan::logical::PlanBuilder;
+
+    #[test]
+    fn remote_split_reads_ship_exactly_the_in_process_projection() {
+        let schema = Schema::from_pairs(&[
+            ("id", DataType::Int64),
+            ("name", DataType::Utf8),
+            ("price", DataType::Float64),
+        ]);
+        let batch = Batch::try_new(
+            schema.clone(),
+            vec![
+                Column::Int64((0..100).collect()),
+                Column::Utf8((0..100).map(|i| format!("name-{}", i % 7)).collect()).encode_auto(),
+                Column::Float64((0..100).map(|i| i as f64 * 0.25).collect()),
+            ],
+        )
+        .unwrap();
+        let tables = BTreeMap::from([("t".to_string(), TableSplits::from(batch.chunks(40)))]);
+        let config = EngineConfig::quokka(2);
+        let graph = StageGraph::compile(&PlanBuilder::scan("t", schema).build().unwrap()).unwrap();
+        let splits = BTreeMap::from([("t".to_string(), 3u64)]);
+        let layout = Arc::new(QueryLayout::new(graph, &config.cluster, &splits).unwrap());
+        let (cost, metrics) = (CostModel::free(), MetricsRegistry::new());
+        let durable = Arc::new(DurableObjectStore::new(cost, Arc::clone(&metrics), tables));
+        let (tx, _rx) = channel();
+        let services = Arc::new(Services::new(
+            config,
+            layout,
+            Arc::new(Gcs::default()),
+            Arc::new(DataPlane::new(2, cost, Arc::clone(&metrics))),
+            durable.clone() as Arc<dyn ObjectStore>,
+            tx,
+            metrics,
+        ));
+        let server = ControlServer::bind(services, Arc::clone(&durable)).unwrap();
+        let remote = RemoteDurable::new(Arc::new(ControlClient::connect(server.addr()).unwrap()));
+
+        let pruned = Schema::from_pairs(&[("price", DataType::Float64), ("name", DataType::Utf8)]);
+        for split in 0..3 {
+            let local = durable.read_split("t", split, &pruned).unwrap();
+            let shipped = remote.read_split("t", split, &pruned).unwrap();
+            assert_eq!(shipped.schema(), &pruned, "split {split} carries only the scan's columns");
+            assert_eq!(shipped, local, "split {split} differs from the in-process read");
+        }
+        assert!(remote.read_split("t", 3, &pruned).is_err(), "no fourth split");
+    }
 
     #[test]
     fn worker_ranges_cover_all_workers_contiguously() {

@@ -21,7 +21,7 @@
 //! also enforces the per-query deadline (`EngineConfig::query_timeout`) and
 //! repairs partitions reported lost by replay reads (deeper lineage replay).
 
-use crate::chaos::ChaosEngine;
+use crate::chaos;
 use crate::worker::Services;
 use quokka_common::ids::{ChannelAddr, WorkerId};
 use quokka_common::{QuokkaError, Result};
@@ -72,28 +72,6 @@ impl Coordinator {
         Coordinator { services, watchdog }
     }
 
-    /// Fraction of all input splits consumed so far — the progress measure
-    /// used to decide when to inject a failure ("a worker machine is killed
-    /// halfway through the query", §V-D).
-    pub fn progress(&self) -> f64 {
-        let total = self.services.layout.total_splits();
-        if total == 0 {
-            return 1.0;
-        }
-        let mut consumed = 0u64;
-        for stage in &self.services.layout.graph.stages {
-            if !stage.is_scan() {
-                continue;
-            }
-            for channel in self.services.layout.channels_of(stage.id) {
-                if let Some(state) = self.services.gcs.get_channel(channel) {
-                    consumed += state.splits_consumed as u64;
-                }
-            }
-        }
-        consumed as f64 / total as f64
-    }
-
     fn sink_done(&self) -> bool {
         self.services
             .layout
@@ -104,7 +82,6 @@ impl Coordinator {
 
     /// Supervise the query until completion, failure or restart.
     pub fn run(&self) -> CoordinatorOutcome {
-        let mut chaos = ChaosEngine::new(&self.services);
         let mut injected: Vec<WorkerId> = Vec::new();
         let heartbeat = self.services.config.cluster.heartbeat_interval;
         let suspicion_timeout = self.services.config.cluster.suspicion_timeout;
@@ -135,24 +112,28 @@ impl Coordinator {
                 ));
             }
 
-            // Inject any chaos events whose trigger point has been reached.
-            // This happens *before* the completion check: a fast query can
-            // sprint from the trigger point to done within one heartbeat,
+            // Apply the chaos events whose trigger a commit crossed. That
+            // commit raised the barrier, so nothing has committed since;
+            // every fired kill lands before it is lowered (by the kills'
+            // recovery, or right here). This happens *before* the
+            // completion check: the crossing commit may be the query's last,
             // and an injection the configuration promised must still land
             // (killing a worker whose channels all finished is harmless —
-            // recovery finds nothing to rewind). Non-kill events (suspicion,
-            // lost backups, dropped/delayed pushes, stragglers) are applied
-            // inside the poll; kills come back for the recovery protocol.
-            let progress = self.progress();
-            for worker in chaos.poll(&self.services, progress) {
+            // recovery finds nothing to rewind).
+            let fired = self.services.chaos.take_fired();
+            let kills: Vec<WorkerId> =
+                fired.iter().filter_map(|&event| chaos::apply(event, &self.services)).collect();
+            for &worker in &kills {
                 self.services.kill_worker(worker);
                 injected.push(worker);
-                if !self.services.config.fault.supports_intra_query_recovery() {
-                    self.services.gcs.set_query_error(
-                        "worker failed and the strategy has no intra-query recovery",
-                    );
-                    return CoordinatorOutcome::NeedsRestart { failed: injected.clone() };
-                }
+            }
+            if !kills.is_empty() && !self.services.config.fault.supports_intra_query_recovery() {
+                self.services
+                    .gcs
+                    .set_query_error("worker failed and the strategy has no intra-query recovery");
+                return CoordinatorOutcome::NeedsRestart { failed: injected };
+            }
+            for worker in kills {
                 // Failure detection (the heartbeat round trip), then recovery.
                 std::thread::sleep(heartbeat);
                 let planning_start = Instant::now();
@@ -162,6 +143,9 @@ impl Coordinator {
                     return CoordinatorOutcome::Failed(error);
                 }
                 self.services.metrics.add_recovery_planning(planning_start.elapsed());
+            }
+            if !fired.is_empty() {
+                self.lower_barrier();
             }
 
             // Failure detector: suspect workers whose heartbeats stalled.
@@ -367,7 +351,7 @@ impl Coordinator {
             seeds.insert(stranded.consumer);
         }
         let result = self.reconcile_locked(seeds);
-        gcs.set_paused(false);
+        self.lower_barrier();
         result
     }
 
@@ -378,8 +362,18 @@ impl Coordinator {
         gcs.set_paused(true);
         std::thread::sleep(Duration::from_millis(2));
         let result = self.reconcile_locked(seeds);
-        gcs.set_paused(false);
+        self.lower_barrier();
         result
+    }
+
+    /// Lower the pause barrier, unless a commit that landed just before it
+    /// was raised crossed a chaos trigger: that barrier stays up until the
+    /// next supervision tick has applied the fired events. (While the
+    /// barrier is up no commit can cross another trigger.)
+    fn lower_barrier(&self) {
+        if !self.services.chaos.has_fired() {
+            self.services.gcs.set_paused(false);
+        }
     }
 
     /// The core of Algorithm 2, run under the raised pause barrier: rewind

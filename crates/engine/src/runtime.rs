@@ -5,22 +5,19 @@ use crate::layout::QueryLayout;
 use crate::recovery::{Coordinator, CoordinatorOutcome};
 use crate::stream::{BatchStream, StreamEvent};
 use crate::worker::{spawn_workers, Services};
-use parking_lot::Mutex;
-use quokka_batch::codec::encode_partition;
 use quokka_batch::Batch;
 use quokka_common::chaos::ChaosPlan;
 use quokka_common::config::{ClusterConfig, EngineConfig};
 use quokka_common::ids::WorkerId;
 use quokka_common::metrics::{MetricsRegistry, QueryMetrics};
 use quokka_common::{QuokkaError, Result};
-use quokka_gcs::tables::{ChannelState, TaskEntry};
 use quokka_gcs::Gcs;
 use quokka_net::DataPlane;
-use quokka_plan::catalog::Catalog;
+use quokka_plan::catalog::{Catalog, TableSplits};
 use quokka_plan::logical::LogicalPlan;
 use quokka_plan::optimizer::Optimizer;
 use quokka_plan::stage::StageGraph;
-use quokka_storage::{CostModel, DurableObjectStore, LocalBackupStore};
+use quokka_storage::{CostModel, DurableObjectStore};
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::Sender;
@@ -131,16 +128,17 @@ impl QueryRunner {
         // compiled graph instead of recompiling.
         let graph = StageGraph::compile(&plan)?;
         // Admission happens after planning (cheap, and errors should surface
-        // as plan errors) but before the table snapshot — the first big
-        // allocation a query makes. An Overloaded rejection propagates from
-        // here synchronously; a queued query blocks its caller right here.
+        // as plan errors) but before any cluster state is built. An
+        // Overloaded rejection propagates from here synchronously; a queued
+        // query blocks its caller right here.
         let permit = match &opts.admission {
             Some(controller) => Some(controller.acquire(estimate_query_memory(&plan, catalog))?),
             None => None,
         };
         // Snapshot the referenced base tables so the query (and a potential
-        // restart-baseline rerun) no longer needs the caller's catalog.
-        let mut tables: BTreeMap<String, Vec<Batch>> = BTreeMap::new();
+        // restart-baseline rerun) no longer needs the caller's catalog. The
+        // snapshot shares the catalog's immutable splits; it copies nothing.
+        let mut tables = BTreeMap::new();
         for table in plan.referenced_tables() {
             tables.insert(table.clone(), catalog.table_batches(&table)?);
         }
@@ -168,14 +166,14 @@ impl QueryRunner {
 fn supervise(
     config: EngineConfig,
     graph: StageGraph,
-    tables: BTreeMap<String, Vec<Batch>>,
+    tables: BTreeMap<String, TableSplits>,
     tx: Sender<StreamEvent>,
     cancel: Arc<AtomicBool>,
     permit: Option<AdmissionPermit>,
     plan_cache_hit: bool,
 ) {
     let final_event =
-        supervise_inner(config, graph, tables, &tx, &cancel, permit.as_ref(), plan_cache_hit);
+        supervise_inner(config, graph, &tables, &tx, &cancel, permit.as_ref(), plan_cache_hit);
     drop(permit);
     let _ = tx.send(final_event);
 }
@@ -185,7 +183,7 @@ fn supervise(
 fn supervise_inner(
     mut config: EngineConfig,
     graph: StageGraph,
-    tables: BTreeMap<String, Vec<Batch>>,
+    tables: &BTreeMap<String, TableSplits>,
     tx: &Sender<StreamEvent>,
     cancel: &Arc<AtomicBool>,
     permit: Option<&AdmissionPermit>,
@@ -196,11 +194,8 @@ fn supervise_inner(
     // failures on top of the rerun's metrics.
     let mut carried_runtime = Duration::ZERO;
     let mut carried_failures = 0u64;
-    // The table snapshot only exists for restart-baseline reruns; attempts
-    // drop it as soon as it can no longer be needed.
-    let mut tables = Some(tables);
     loop {
-        match run_attempt(&config, graph.clone(), &mut tables, tx, cancel) {
+        match run_attempt(&config, graph.clone(), tables, tx, cancel) {
             Ok(AttemptOutcome::Completed(mut metrics)) => {
                 metrics.runtime += carried_runtime;
                 metrics.failures += carried_failures;
@@ -249,34 +244,18 @@ fn supervise_inner(
 fn run_attempt(
     config: &EngineConfig,
     graph: StageGraph,
-    tables: &mut Option<BTreeMap<String, Vec<Batch>>>,
+    tables: &BTreeMap<String, TableSplits>,
     tx: &Sender<StreamEvent>,
     cancel: &Arc<AtomicBool>,
 ) -> Result<AttemptOutcome> {
     let cost = CostModel::new(config.cost);
     let metrics = MetricsRegistry::new();
-    let durable: Arc<dyn quokka_storage::ObjectStore> =
-        Arc::new(DurableObjectStore::new(cost, Arc::clone(&metrics)));
-
-    // Load the referenced base tables into the (durable) object store as
-    // split objects — the data lake the paper's queries read from S3.
-    let mut table_splits = BTreeMap::new();
-    for (table, batches) in tables.as_ref().expect("table snapshot consumed") {
-        for (index, batch) in batches.iter().enumerate() {
-            durable.put_unmetered(
-                Services::table_split_key(table, index as u64),
-                encode_partition(std::slice::from_ref(batch)),
-            );
-        }
-        table_splits.insert(table.clone(), batches.len() as u64);
-    }
-    // A restart (the only consumer of a second attempt) is only ever
-    // requested when the fault strategy has no intra-query recovery; under
-    // the recovering strategies the snapshot is dead weight for the rest of
-    // the query — free it before execution starts.
-    if config.fault.supports_intra_query_recovery() {
-        *tables = None;
-    }
+    // The durable store serves the base tables as the catalog's own splits
+    // — the data lake the paper's queries read from S3, already in place
+    // when the query starts.
+    let durable = DurableObjectStore::new(cost, Arc::clone(&metrics), tables.clone());
+    let table_splits =
+        tables.iter().map(|(table, splits)| (table.clone(), splits.len() as u64)).collect();
 
     let layout = Arc::new(QueryLayout::new(graph, &config.cluster, &table_splits)?);
     let gcs = Arc::new(Gcs::new(cost.gcs_delay()));
@@ -286,37 +265,19 @@ fn run_attempt(
         Arc::clone(&metrics),
         &config.transport,
     )?);
-    let backups: Vec<Arc<LocalBackupStore>> = (0..config.cluster.workers)
-        .map(|w| Arc::new(LocalBackupStore::new(w, cost, Arc::clone(&metrics))))
-        .collect();
-
-    // Register every channel and its first task in the GCS.
-    for addr in layout.all_channels() {
-        let worker = layout.initial_worker(addr);
-        let state = ChannelState::new(addr, worker, layout.upstream_channels(addr.stage).len());
-        gcs.put_channel(&state);
-        gcs.put_task(&TaskEntry { task: addr.task(0), worker });
-    }
-
     let services = Arc::new(Services {
-        config: config.clone(),
-        layout: Arc::clone(&layout),
-        gcs: Arc::clone(&gcs),
-        plane,
-        backups,
-        durable,
-        sink: Mutex::new(tx.clone()),
-        metrics: Arc::clone(&metrics),
-        killed: (0..config.cluster.workers).map(|_| AtomicBool::new(false)).collect(),
         cancelled: Arc::clone(cancel),
-        cost,
-        heartbeats: (0..config.cluster.workers).map(|_| Default::default()).collect(),
-        heartbeat_suppressed: (0..config.cluster.workers).map(|_| Default::default()).collect(),
-        suspected: (0..config.cluster.workers).map(|_| Default::default()).collect(),
-        straggler_tasks: (0..config.cluster.workers).map(|_| Default::default()).collect(),
-        straggler_micros: (0..config.cluster.workers).map(|_| Default::default()).collect(),
-        delivered_sinks: None,
+        ..Services::new(
+            config.clone(),
+            layout,
+            Arc::clone(&gcs),
+            plane,
+            Arc::new(durable),
+            tx.clone(),
+            Arc::clone(&metrics),
+        )
     });
+    services.register_channels();
 
     let start = Instant::now();
     // Align the first-batch clock with `start`, so `time_to_first_batch`
@@ -424,6 +385,19 @@ mod tests {
     }
 
     #[test]
+    fn queries_share_the_catalogs_splits() {
+        let catalog = catalog(300);
+        let fact = catalog.table_batches("fact").unwrap();
+        let held = Arc::strong_count(&fact);
+        let stream = QueryRunner::new(EngineConfig::quokka(2)).stream(&join_plan(), &catalog);
+        assert!(
+            Arc::strong_count(&fact) > held,
+            "the query's snapshot must hold the catalog's own splits"
+        );
+        assert!(stream.unwrap().collect().unwrap().metrics.tasks_executed > 0);
+    }
+
+    #[test]
     fn pipelined_wal_matches_reference() {
         check_against_reference(EngineConfig::quokka(3), 500);
     }
@@ -471,7 +445,11 @@ mod tests {
         let catalog = catalog(600);
         let plan = join_plan();
         let expected = ReferenceExecutor::new(&catalog).execute(&plan).unwrap();
-        let config = EngineConfig::quokka(3).with_failure(FailureSpec::halfway(1));
+        // Killed at its first commit that leaves join/aggregate state
+        // behind, the worker always takes state with it that recovery must
+        // replay (a kill at a fixed input fraction can land after the
+        // victim's channels have all finished).
+        let config = EngineConfig::quokka(3).with_chaos(ChaosPlan::kill_holding_state(1));
         let outcome = QueryRunner::new(config).run(&plan, &catalog).unwrap();
         assert!(
             same_result(&expected, &outcome.batch),

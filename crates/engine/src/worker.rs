@@ -19,6 +19,7 @@
 //!    push failed or the recovery barrier was raised, nothing is committed
 //!    and the task is retried later.
 
+use crate::chaos::{ChaosEngine, CommitTally};
 use crate::layout::QueryLayout;
 use crate::stream::StreamEvent;
 use parking_lot::Mutex;
@@ -59,7 +60,8 @@ pub struct Services {
     pub gcs: Arc<Gcs>,
     pub plane: Arc<DataPlane>,
     pub backups: Vec<Arc<LocalBackupStore>>,
-    /// The durable store. In-process clusters hand every worker the real
+    /// The durable store, which also serves the base-table splits scans
+    /// read. In-process clusters hand every worker the real
     /// [`DurableObjectStore`](quokka_storage::DurableObjectStore); process
     /// mode substitutes a proxy that reaches the driver's store over the
     /// control connection.
@@ -99,9 +101,69 @@ pub struct Services {
     /// committed sink partition is accounted for here, rewinding the
     /// channels of the ones that never arrive.
     pub delivered_sinks: Option<Arc<Mutex<HashSet<TaskName>>>>,
+    /// The query's chaos plan; every task commit is counted against it.
+    pub chaos: ChaosEngine,
+}
+
+fn per_worker<T: Default>(workers: u32) -> Vec<T> {
+    (0..workers).map(|_| T::default()).collect()
 }
 
 impl Services {
+    /// Wire one execution's services. Per-worker state (liveness, backups,
+    /// chaos knobs) starts clean; the query is not cancelled and, outside
+    /// process mode, sink delivery needs no tracking.
+    pub fn new(
+        config: EngineConfig,
+        layout: Arc<QueryLayout>,
+        gcs: Arc<Gcs>,
+        plane: Arc<DataPlane>,
+        durable: Arc<dyn ObjectStore>,
+        sink: std::sync::mpsc::Sender<StreamEvent>,
+        metrics: Arc<MetricsRegistry>,
+    ) -> Self {
+        let workers = config.cluster.workers;
+        let cost = CostModel::new(config.cost);
+        let chaos = ChaosEngine::new(&config, layout.total_splits());
+        Services {
+            backups: (0..workers)
+                .map(|w| Arc::new(LocalBackupStore::new(w, cost, Arc::clone(&metrics))))
+                .collect(),
+            killed: per_worker(workers),
+            cancelled: Arc::default(),
+            heartbeats: per_worker(workers),
+            heartbeat_suppressed: per_worker(workers),
+            suspected: per_worker(workers),
+            straggler_tasks: per_worker(workers),
+            straggler_micros: per_worker(workers),
+            delivered_sinks: None,
+            sink: Mutex::new(sink),
+            config,
+            layout,
+            gcs,
+            plane,
+            durable,
+            metrics,
+            cost,
+            chaos,
+        }
+    }
+
+    /// Register every channel and its first task in the GCS, before any
+    /// worker starts. Chaos events due before the first commit raise the
+    /// barrier here, so they too land before any task commits.
+    pub fn register_channels(&self) {
+        for addr in self.layout.all_channels() {
+            let worker = self.layout.initial_worker(addr);
+            let upstream = self.layout.upstream_channels(addr.stage).len();
+            self.gcs.put_channel(&ChannelState::new(addr, worker, upstream));
+            self.gcs.put_task(&TaskEntry { task: addr.task(0), worker });
+        }
+        if self.chaos.has_fired() {
+            self.gcs.set_paused(true);
+        }
+    }
+
     /// Whether a worker has been killed by fault injection.
     pub fn is_killed(&self, worker: WorkerId) -> bool {
         self.killed[worker as usize].load(Ordering::SeqCst)
@@ -119,11 +181,6 @@ impl Services {
     /// Workers that have not been killed.
     pub fn live_workers(&self) -> Vec<WorkerId> {
         (0..self.layout.workers()).filter(|&w| !self.is_killed(w)).collect()
-    }
-
-    /// Durable key of one source-table split.
-    pub fn table_split_key(table: &str, split: u64) -> String {
-        format!("tables/{table}/{split:08}")
     }
 
     /// Durable key of one spooled slice.
@@ -498,15 +555,10 @@ impl StageWorker {
                     .clone()
                     .ok_or_else(|| QuokkaError::internal("split inputs on a non-scan stage"))?;
                 for split in splits {
-                    let payload =
-                        services.durable.get(&Services::table_split_key(&scan.table, *split))?;
-                    for batch in decode_partition(&payload)? {
-                        // Stored splits carry the full table schema; a scan
-                        // narrowed by projection pruning reads a column
-                        // subset.
-                        let batch = batch.select_to(&scan.schema)?;
-                        outputs.extend(rt.op.push(0, &batch)?);
-                    }
+                    // A scan narrowed by projection pruning reads only its
+                    // column subset of the shared split.
+                    let batch = services.durable.read_split(&scan.table, *split, &scan.schema)?;
+                    outputs.extend(rt.op.push(0, &batch)?);
                 }
                 LineageSource::InputSplits { splits: splits.clone() }
             }
@@ -532,7 +584,7 @@ impl StageWorker {
             // Scan stages finalize based on split exhaustion (decided when
             // the inputs were chosen), not on upstream end-of-stream.
             if !layout.graph.stage(self.stage).is_scan() {
-                finalize = self.should_finalize(state, &inputs, &to_finish)?;
+                finalize = self.should_finalize(addr, &to_finish);
             }
         }
         let rt = self.channels.get_mut(&addr).expect("runtime present");
@@ -631,6 +683,12 @@ impl StageWorker {
             None
         } else {
             Some(TaskEntry { task: addr.task(seq + 1), worker: self.worker })
+        };
+        let tally = CommitTally {
+            worker: self.worker,
+            splits: u64::from(new_state.splits_consumed - state.splits_consumed),
+            recovery: replay_mode,
+            holds_state: layout.graph.stage(self.stage).is_stateful() && !new_state.done,
         };
         let commit = TaskCommit {
             worker: self.worker,
@@ -747,7 +805,11 @@ impl StageWorker {
                 publish_backoff.sleep();
                 continue;
             }
-            if services.gcs.commit_task(&commit).is_ok() {
+            if services
+                .chaos
+                .commit(&tally, |raise| services.gcs.commit_task(&commit, raise))
+                .is_ok()
+            {
                 break;
             }
             services.metrics.add_push_retry();
@@ -1039,7 +1101,7 @@ impl StageWorker {
 
         // Nothing to consume: maybe every upstream is exhausted and it is
         // time to finalize the channel.
-        if self.all_inputs_exhausted(state, None)? {
+        if self.all_inputs_exhausted(state)? {
             let already_finalized =
                 self.channels.get(&addr).map(|rt| rt.finalized).unwrap_or(false);
             if !already_finalized {
@@ -1096,33 +1158,22 @@ impl StageWorker {
         Ok(true)
     }
 
-    /// Whether the channel can finalize after this task (every operator input
-    /// exhausted).
-    fn should_finalize(
-        &self,
-        state: &ChannelState,
-        inputs: &TaskInputs,
-        _newly_finished: &[u32],
-    ) -> Result<bool> {
-        self.all_inputs_exhausted(state, Some(inputs))
+    /// Whether the channel can finalize after this task: every operator input
+    /// is finished, by an earlier task or by this one (`to_finish`). This
+    /// must not re-read the GCS: an upstream that a rewind had reset could
+    /// finish in between, and the channel would finalize an operator whose
+    /// input it never closed (a join finishing without its build side
+    /// emits nothing).
+    fn should_finalize(&self, addr: ChannelAddr, to_finish: &[u32]) -> bool {
+        let already = self.channels.get(&addr).map(|rt| &rt.finished_inputs);
+        (0..self.services.layout.num_inputs(self.stage)).all(|input| {
+            to_finish.contains(&(input as u32)) || already.is_some_and(|f| f.contains(&input))
+        })
     }
 
-    fn all_inputs_exhausted(
-        &self,
-        state: &ChannelState,
-        inputs: Option<&TaskInputs>,
-    ) -> Result<bool> {
-        let layout = &self.services.layout;
-        let num_inputs = layout.num_inputs(self.stage);
-        if num_inputs == 0 {
-            // Scan stages finalize when their splits run out (handled by the
-            // caller).
-            return Ok(true);
-        }
-        let default_inputs = TaskInputs::FinalizeOnly;
-        let inputs = inputs.unwrap_or(&default_inputs);
-        for input_index in 0..num_inputs {
-            if !self.input_exhausted(state, inputs, input_index)? {
+    fn all_inputs_exhausted(&self, state: &ChannelState) -> Result<bool> {
+        for input_index in 0..self.services.layout.num_inputs(self.stage) {
+            if !self.input_exhausted(state, &TaskInputs::FinalizeOnly, input_index)? {
                 return Ok(false);
             }
         }

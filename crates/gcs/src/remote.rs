@@ -47,6 +47,8 @@ pub const OP_DURABLE_GET: u8 = 20;
 pub const OP_DURABLE_PUT: u8 = 21;
 pub const OP_DURABLE_CONTAINS: u8 = 22;
 pub const OP_DURABLE_LIST: u8 = 23;
+/// Read one base-table split, projected to the requested columns.
+pub const OP_DURABLE_READ_SPLIT: u8 = 24;
 /// Forward one committed sink partition to the driver's result stream.
 pub const OP_SINK_EMIT: u8 = 30;
 /// Report the liveness counters of a process's hosted workers.

@@ -684,7 +684,10 @@ impl Gcs {
     /// sequence number, done flag) and replace the channel's outstanding
     /// task with the next one. The transaction aborts if the recovery
     /// barrier is raised or the committing worker has been marked failed.
-    pub fn commit_task(&self, commit: &TaskCommit) -> Result<()> {
+    /// With `raise_barrier` the same transaction raises the barrier: the
+    /// commit crossed a chaos trigger, and no other task may commit until
+    /// the coordinator has applied the fault and lowered it again.
+    pub fn commit_task(&self, commit: &TaskCommit, raise_barrier: bool) -> Result<()> {
         let lineage_encoded = commit.lineage.encode();
         let lineage_len = lineage_encoded.len() as u64;
         let channel = commit.channel_state.addr;
@@ -714,6 +717,9 @@ impl Gcs {
             match &commit.next_task {
                 Some(next) => txn.put(task_key(channel), Bytes::from(next.encode())),
                 None => txn.delete(task_key(channel)),
+            }
+            if raise_barrier {
+                txn.put("ctrl/pause", Bytes::from_static(b"1"));
             }
             Ok(())
         })?;
@@ -920,7 +926,7 @@ mod tests {
             prev_channel: None,
             next_task: Some(TaskEntry { task: channel.task(1), worker: 0 }),
         };
-        gcs.commit_task(&commit).unwrap();
+        gcs.commit_task(&commit, false).unwrap();
         assert!(gcs.lineage_committed(channel.task(0)));
         assert_eq!(gcs.get_channel(channel).unwrap().consumed, vec![4]);
         assert_eq!(gcs.get_task(channel).unwrap().task.seq, 1);
@@ -933,11 +939,11 @@ mod tests {
         stale.lineage.task = channel.task(1);
         stale.partition.name = channel.task(1);
         stale.prev_channel = Some(ChannelState::new(channel, 0, 1));
-        assert!(gcs.commit_task(&stale).is_err());
+        assert!(gcs.commit_task(&stale, false).is_err());
         assert!(!gcs.lineage_committed(channel.task(1)));
         // With the snapshot matching what is stored, the same commit lands.
         stale.prev_channel = Some(state.clone());
-        gcs.commit_task(&stale).unwrap();
+        gcs.commit_task(&stale, false).unwrap();
         assert!(gcs.lineage_committed(channel.task(1)));
 
         // Barrier raised -> commit aborts and writes nothing.
@@ -945,14 +951,40 @@ mod tests {
         let mut second = commit.clone();
         second.lineage.task = channel.task(2);
         second.partition.name = channel.task(2);
-        assert!(gcs.commit_task(&second).is_err());
+        assert!(gcs.commit_task(&second, false).is_err());
         assert!(!gcs.lineage_committed(channel.task(2)));
         gcs.set_paused(false);
 
         // Worker declared failed -> commit aborts.
         gcs.mark_worker_failed(0);
-        assert!(gcs.commit_task(&second).is_err());
+        assert!(gcs.commit_task(&second, false).is_err());
         assert!(!gcs.lineage_committed(channel.task(2)));
+    }
+
+    #[test]
+    fn a_barrier_raising_commit_lands_and_blocks_the_next() {
+        let gcs = Gcs::default();
+        let channel = ChannelAddr::new(1, 0);
+        let commit = |seq| TaskCommit {
+            worker: 0,
+            lineage: lineage(channel.task(seq)),
+            partition: PartitionEntry {
+                name: channel.task(seq),
+                owner: 0,
+                backed_up: true,
+                spooled: false,
+                bytes: 64,
+            },
+            channel_state: ChannelState::new(channel, 0, 1),
+            prev_channel: None,
+            next_task: Some(TaskEntry { task: channel.task(seq + 1), worker: 0 }),
+        };
+        gcs.commit_task(&commit(0), true).unwrap();
+        assert!(gcs.lineage_committed(channel.task(0)));
+        assert!(gcs.is_paused(), "the crossing commit raises the barrier atomically");
+        assert!(gcs.commit_task(&commit(1), false).is_err());
+        gcs.set_paused(false);
+        gcs.commit_task(&commit(1), false).unwrap();
     }
 
     #[test]
@@ -984,7 +1016,7 @@ mod tests {
             prev_channel: None,
             next_task: None,
         };
-        gcs.commit_task(&commit).unwrap();
+        gcs.commit_task(&commit, false).unwrap();
         assert!(gcs.get_task(channel).is_none());
         assert!(gcs.get_channel(channel).unwrap().done);
     }

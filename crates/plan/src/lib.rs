@@ -35,7 +35,7 @@ pub mod reference;
 pub mod stage;
 
 pub use aggregate::{AggExpr, AggFunc};
-pub use catalog::{Catalog, MemoryCatalog};
+pub use catalog::{Catalog, MemoryCatalog, TableSplits};
 pub use expr::{Expr, NamedExpr};
 pub use logical::{sort_by_exprs, JoinType, LogicalPlan, PlanBuilder};
 pub use optimizer::Optimizer;

@@ -9,8 +9,8 @@
 //! plan lowering is deterministic, so equal `(query, sf, config)` inputs
 //! yield equal graphs in every process.
 
-use crate::{Batch, EngineConfig, Result, Schema, TpchGenerator};
-use quokka_plan::catalog::{Catalog, MemoryCatalog};
+use crate::{EngineConfig, Result, Schema, TpchGenerator};
+use quokka_plan::catalog::{Catalog, MemoryCatalog, TableSplits};
 use quokka_plan::optimizer::Optimizer;
 use quokka_plan::stage::StageGraph;
 use std::collections::BTreeMap;
@@ -25,9 +25,9 @@ pub struct TpchProcessInputs {
     pub graph: StageGraph,
     /// Schema of the query result.
     pub output_schema: Schema,
-    /// Referenced base tables and their batches (the driver loads these
-    /// into the shared durable store).
-    pub tables: BTreeMap<String, Vec<Batch>>,
+    /// Referenced base tables and their splits (the driver's durable store
+    /// serves these).
+    pub tables: BTreeMap<String, TableSplits>,
     /// Batch counts per referenced table — the split layout every process
     /// computes the channel-to-split assignment from.
     pub table_splits: BTreeMap<String, u64>,
@@ -76,7 +76,7 @@ mod tests {
         for (table, batches) in &a.tables {
             let other = &b.tables[table];
             assert_eq!(batches.len(), other.len());
-            for (x, y) in batches.iter().zip(other) {
+            for (x, y) in batches.iter().zip(other.iter()) {
                 assert_eq!(x, y);
             }
         }

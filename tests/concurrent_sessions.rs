@@ -10,7 +10,7 @@
 use quokka::dataframe::tpch::query as df_query;
 use quokka::tpch::queries::sql::sql_text;
 use quokka::{
-    same_result, AdmissionConfig, Batch, EngineConfig, FailureSpec, QueryMetrics, QuokkaError,
+    same_result, AdmissionConfig, Batch, ChaosPlan, EngineConfig, QueryMetrics, QuokkaError,
     QuokkaSession,
 };
 use std::sync::Arc;
@@ -102,7 +102,11 @@ fn mixed_tpch_queries_run_concurrently_on_one_session() {
 fn concurrent_queries_with_fault_injection_stay_isolated() {
     let session = Arc::new(QuokkaSession::tpch(0.002, 3).unwrap());
     let expected = Arc::new(expected_results(&session));
-    let faulty = EngineConfig::quokka(3).with_failure(FailureSpec::halfway(1));
+    // Worker 1 dies at its first commit that leaves operator state behind,
+    // so every faulty query has state to recover however the six
+    // concurrent queries are scheduled (a kill at a fixed input fraction
+    // can land after the victim's channels have all finished).
+    let faulty = EngineConfig::quokka(3).with_chaos(ChaosPlan::kill_holding_state(1));
 
     let handles: Vec<_> = (0..QUERIES.len())
         .map(|i| {
