@@ -222,14 +222,22 @@ impl Batch {
         if self.rows == 0 {
             return vec![self.clone()];
         }
-        let mut out = Vec::with_capacity(self.rows.div_ceil(chunk_rows));
-        let mut offset = 0;
-        while offset < self.rows {
-            let len = chunk_rows.min(self.rows - offset);
-            out.push(self.slice(offset, len));
-            offset += len;
-        }
-        out
+        let ranges: Vec<(usize, usize)> = (0..self.rows)
+            .step_by(chunk_rows)
+            .map(|start| (start, chunk_rows.min(self.rows - start)))
+            .collect();
+        // Cut each column into all of its chunks at once, so an encoded
+        // column decodes once per call rather than once per chunk.
+        let mut pieces: Vec<_> =
+            self.columns.iter().map(|c| c.slices(&ranges).into_iter()).collect();
+        ranges
+            .iter()
+            .map(|&(_, len)| Batch {
+                schema: self.schema.clone(),
+                columns: pieces.iter_mut().map(|p| p.next().expect("a piece per range")).collect(),
+                rows: len,
+            })
+            .collect()
     }
 }
 
@@ -320,6 +328,37 @@ mod tests {
         let empty = Batch::empty(b.schema().clone());
         assert_eq!(empty.chunks(10).len(), 1);
         assert!(Batch::concat(&[]).is_err());
+    }
+
+    #[test]
+    fn chunks_match_slices_of_encoded_columns() {
+        let rows = 1000;
+        let schema = Schema::from_pairs(&[
+            ("id", DataType::Int64),
+            ("price", DataType::Float64),
+            ("name", DataType::Utf8),
+            ("rough", DataType::Float64),
+        ]);
+        let b = Batch::try_new(
+            schema,
+            vec![
+                Column::Int64((0..rows).collect()).encode_auto(),
+                Column::Float64((0..rows).map(|i| 900.0 + (i % 40) as f64 * 0.25).collect())
+                    .encode_auto(),
+                Column::Utf8((0..rows).map(|i| format!("n{}", i % 9)).collect()).encode_auto(),
+                Column::Float64((0..rows).map(|i| (i as f64 * 1.618).sin() * 1e6).collect()),
+            ],
+        )
+        .unwrap();
+        assert!(matches!(b.column(1), Column::Xor(_)), "the test needs an XOR column");
+        for chunk_rows in [1, 7, 300, 999, 1000, 4096] {
+            let chunks = b.chunks(chunk_rows);
+            let sliced: Vec<Batch> = (0..b.num_rows())
+                .step_by(chunk_rows)
+                .map(|start| b.slice(start, chunk_rows.min(b.num_rows() - start)))
+                .collect();
+            assert_eq!(chunks, sliced, "chunks of {chunk_rows} rows differ from slices");
+        }
     }
 
     #[test]

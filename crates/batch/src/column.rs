@@ -347,6 +347,22 @@ impl Column {
         }
     }
 
+    /// [`slice`](Column::slice) for every `(start, len)` range, equal piece
+    /// for piece. An XOR column decodes once for all the ranges instead of
+    /// once per range.
+    pub fn slices(&self, ranges: &[(usize, usize)]) -> Vec<Column> {
+        match self {
+            Column::Xor(x) => {
+                let values = x.to_vec();
+                ranges
+                    .iter()
+                    .map(|&(start, len)| xor_or_plain_ref(&values[start..start + len]))
+                    .collect()
+            }
+            other => ranges.iter().map(|&(start, len)| other.slice(start, len)).collect(),
+        }
+    }
+
     /// Concatenate columns of the same logical type. Dictionary columns
     /// sharing one dictionary concatenate without decoding; any other
     /// encoded input decodes to plain (concatenation crosses encoding

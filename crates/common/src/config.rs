@@ -182,9 +182,12 @@ pub struct ClusterConfig {
     /// channel of every stage to each TaskManager, so this defaults to the
     /// worker count.
     pub channels_per_stage: u32,
-    /// How often a TaskManager polls the GCS for work when idle.
+    /// The first timeout of an idle TaskManager's wait for work; it doubles
+    /// up to ~5ms while the thread stays idle. Work arriving ends the wait
+    /// sooner.
     pub poll_interval: Duration,
-    /// How often the coordinator checks worker heartbeats.
+    /// The longest wait between two supervision passes of the coordinator,
+    /// which check worker heartbeats among other things.
     pub heartbeat_interval: Duration,
     /// How long a worker's heartbeat may stall before the failure detector
     /// *suspects* it and reconciles its channels onto other workers without
@@ -388,8 +391,6 @@ pub struct EngineConfig {
     /// Backoff policy for every retry loop in the engine (task polling,
     /// result publication, replay requests).
     pub retry: RetryPolicy,
-    /// Target number of rows per batch produced by input readers.
-    pub batch_rows: usize,
     /// Seed for any randomised decision (worker placement during recovery).
     pub seed: u64,
     /// Whether the rule-based logical optimizer rewrites plans before stage
@@ -423,7 +424,6 @@ impl EngineConfig {
             watchdog: Duration::from_secs(120),
             query_timeout: None,
             retry: RetryPolicy::engine_default(),
-            batch_rows: 8192,
             seed: 0x5eed,
             optimize: true,
             admission: AdmissionConfig::default(),
@@ -472,10 +472,6 @@ impl EngineConfig {
     }
     pub fn with_failure(mut self, failure: FailureSpec) -> Self {
         self.failures.push(failure);
-        self
-    }
-    pub fn with_batch_rows(mut self, rows: usize) -> Self {
-        self.batch_rows = rows;
         self
     }
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -645,13 +641,11 @@ mod tests {
             .with_schedule(SchedulePolicy::StaticBatch { batch: 8 })
             .with_fault(FaultStrategy::None)
             .with_failure(FailureSpec::halfway(2))
-            .with_batch_rows(1024)
             .with_seed(7);
         assert_eq!(cfg.mode, ExecutionMode::Stagewise);
         assert_eq!(cfg.schedule, SchedulePolicy::StaticBatch { batch: 8 });
         assert_eq!(cfg.fault, FaultStrategy::None);
         assert_eq!(cfg.failures.len(), 1);
-        assert_eq!(cfg.batch_rows, 1024);
         assert_eq!(cfg.seed, 7);
     }
 

@@ -359,6 +359,8 @@ fn try_dispatch(payload: &[u8], state: &ControlState) -> Result<Vec<u8>> {
             if let Some(delivered) = &state.services.delivered_sinks {
                 delivered.lock().insert(name);
             }
+            // The query may be complete: let the coordinator check now.
+            state.services.wakeups.coordinator.notify();
             Ok(remote::ok_frame(|_| {}))
         }
         OP_HEARTBEAT => {

@@ -17,6 +17,9 @@
 //! * [`worker`] — the TaskManager side: each worker runs one thread per
 //!   stage, executing Algorithm 1 for the channels currently assigned to it
 //!   and serving replay requests during recovery.
+//! * [`wake`] — the per-thread wakeups those threads and the coordinator
+//!   wait on: commits, replays, wire arrivals and the recovery barrier
+//!   notify them, and the idle backoff only bounds the wait.
 //! * [`recovery`] — the coordinator side: heartbeat-based failure
 //!   detection with suspicion, per-query deadlines, and the Algorithm 2
 //!   reconciliation that rewinds lost channels and schedules replays.
@@ -47,6 +50,7 @@ pub mod layout;
 pub mod recovery;
 pub mod runtime;
 pub mod stream;
+pub mod wake;
 pub mod worker;
 
 pub use admission::{estimate_query_memory, AdmissionController, AdmissionPermit, AdmissionStats};

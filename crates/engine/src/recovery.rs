@@ -10,9 +10,15 @@
 //! Rewound stateful channels of different stages land on different workers:
 //! pipeline-parallel recovery (§III-B).
 //!
+//! The coordinator makes a supervision pass whenever its wakeup is
+//! notified — a sink commit or, in process mode, a sink partition reaching
+//! the driver; a commit that crossed a chaos trigger; a worker failing the
+//! query or reporting a lost partition — and at least every
+//! `heartbeat_interval`.
+//!
 //! Beyond deaths injected by the chaos plan, the coordinator runs a
 //! heartbeat-based **failure detector**: every stage thread bumps its
-//! worker's liveness counter on every poll, and a worker whose counter
+//! worker's liveness counter on every pass, and a worker whose counter
 //! stalls for longer than the configured suspicion timeout is *suspected*.
 //! Suspicion is conservative — the worker is not killed (it may merely be
 //! partitioned or slow); its channels are reconciled onto trusted workers,
@@ -99,7 +105,11 @@ impl Coordinator {
             })
             .collect();
 
+        let wakeup = &self.services.wakeups.coordinator;
         loop {
+            // Read before supervising: a notification from here on ends
+            // this pass's wait at once.
+            let seen = wakeup.generation();
             if let Some(error) = self.services.gcs.query_error() {
                 return CoordinatorOutcome::Failed(QuokkaError::Internal(error));
             }
@@ -136,13 +146,11 @@ impl Coordinator {
             for worker in kills {
                 // Failure detection (the heartbeat round trip), then recovery.
                 std::thread::sleep(heartbeat);
-                let planning_start = Instant::now();
                 if let Err(e) = self.recover(worker) {
                     let error = QuokkaError::Internal(format!("recovery failed: {e}"));
                     self.services.gcs.set_query_error(&error.to_string());
                     return CoordinatorOutcome::Failed(error);
                 }
-                self.services.metrics.add_recovery_planning(planning_start.elapsed());
             }
             if !fired.is_empty() {
                 self.lower_barrier();
@@ -177,13 +185,11 @@ impl Coordinator {
                             // with it, and only the kill path turns those
                             // into producer rewinds.
                             self.services.kill_worker(worker);
-                            let planning_start = Instant::now();
                             if let Err(e) = self.recover(worker) {
                                 let error = QuokkaError::Internal(format!("recovery failed: {e}"));
                                 self.services.gcs.set_query_error(&error.to_string());
                                 return CoordinatorOutcome::Failed(error);
                             }
-                            self.services.metrics.add_recovery_planning(planning_start.elapsed());
                         } else if let Err(e) = self.suspect(worker) {
                             let error =
                                 QuokkaError::Internal(format!("suspicion recovery failed: {e}"));
@@ -200,13 +206,11 @@ impl Coordinator {
             let lost = self.services.gcs.take_lost_partitions();
             if !lost.is_empty() {
                 let seeds: BTreeSet<ChannelAddr> = lost.iter().map(|p| p.channel_addr()).collect();
-                let planning_start = Instant::now();
                 if let Err(e) = self.reconcile(seeds) {
                     let error = QuokkaError::Internal(format!("lost-partition repair failed: {e}"));
                     self.services.gcs.set_query_error(&error.to_string());
                     return CoordinatorOutcome::Failed(error);
                 }
-                self.services.metrics.add_recovery_planning(planning_start.elapsed());
             }
 
             if self.sink_done() {
@@ -224,7 +228,6 @@ impl Coordinator {
                             None => sink_wait = Some(Instant::now()),
                             Some(since) if since.elapsed() > suspicion_timeout => {
                                 sink_wait = None;
-                                let planning_start = Instant::now();
                                 if let Err(e) = self.reconcile(missing) {
                                     let error = QuokkaError::Internal(format!(
                                         "sink emission repair failed: {e}"
@@ -232,9 +235,6 @@ impl Coordinator {
                                     self.services.gcs.set_query_error(&error.to_string());
                                     return CoordinatorOutcome::Failed(error);
                                 }
-                                self.services
-                                    .metrics
-                                    .add_recovery_planning(planning_start.elapsed());
                             }
                             Some(_) => {}
                         }
@@ -272,7 +272,7 @@ impl Coordinator {
                 self.services.gcs.set_query_error(&message);
                 return CoordinatorOutcome::Failed(QuokkaError::Internal(message));
             }
-            std::thread::sleep(heartbeat);
+            wakeup.wait(seen, heartbeat);
         }
     }
 
@@ -314,9 +314,7 @@ impl Coordinator {
             .filter(|c| c.worker == worker && !c.done)
             .map(|c| c.addr)
             .collect();
-        let planning_start = Instant::now();
         let result = if seeds.is_empty() { Ok(()) } else { self.reconcile(seeds) };
-        services.metrics.add_recovery_planning(planning_start.elapsed());
         // The simulated partition heals once reconciliation is through:
         // stop suppressing the worker's heartbeats (a chaos injection may
         // have silenced them) and trust it again for future placement.
@@ -328,6 +326,7 @@ impl Coordinator {
     /// Algorithm 2: reconcile the GCS after `failed` died. The worker must
     /// already have been killed ([`Services::kill_worker`]).
     pub fn recover(&self, failed: WorkerId) -> Result<()> {
+        let start = Instant::now();
         let gcs = &self.services.gcs;
         gcs.set_paused(true);
         gcs.mark_worker_failed(failed);
@@ -351,28 +350,41 @@ impl Coordinator {
             seeds.insert(stranded.consumer);
         }
         let result = self.reconcile_locked(seeds);
-        self.lower_barrier();
+        self.resume(start);
         result
     }
 
     /// Reconcile a set of channels without declaring any worker dead
     /// (suspicion handling and lost-partition repair).
     pub fn reconcile(&self, seeds: BTreeSet<ChannelAddr>) -> Result<()> {
+        let start = Instant::now();
         let gcs = &self.services.gcs;
         gcs.set_paused(true);
         std::thread::sleep(Duration::from_millis(2));
         let result = self.reconcile_locked(seeds);
-        self.lower_barrier();
+        self.resume(start);
         result
     }
 
-    /// Lower the pause barrier, unless a commit that landed just before it
-    /// was raised crossed a chaos trigger: that barrier stays up until the
-    /// next supervision tick has applied the fired events. (While the
-    /// barrier is up no commit can cross another trigger.)
+    /// End a recovery that began at `start`: charge its time to recovery
+    /// planning, then lower the barrier. Lowering wakes every stage thread,
+    /// which on a small host can keep the coordinator off the CPU for
+    /// milliseconds while the threads resume; that time is execution, not
+    /// planning.
+    fn resume(&self, start: Instant) {
+        self.services.metrics.add_recovery_planning(start.elapsed());
+        self.lower_barrier();
+    }
+
+    /// Lower the pause barrier and wake every stage thread, unless a commit
+    /// that landed just before it was raised crossed a chaos trigger: that
+    /// barrier stays up until the next supervision pass has applied the
+    /// fired events. (While the barrier is up no commit can cross another
+    /// trigger.)
     fn lower_barrier(&self) {
         if !self.services.chaos.has_fired() {
             self.services.gcs.set_paused(false);
+            self.services.wakeups.wake_all();
         }
     }
 

@@ -289,6 +289,7 @@ fn run_attempt(
     if services.gcs.query_error().is_none() && !services.gcs.is_query_done() {
         services.gcs.set_query_done();
     }
+    services.wakeups.wake_all();
     for handle in handles {
         let _ = handle.join();
     }

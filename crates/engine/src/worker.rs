@@ -1,9 +1,9 @@
 //! The TaskManager side of the engine: Algorithm 1.
 //!
-//! Each worker machine runs one [`StageWorker`] thread per stage. The thread
-//! polls the GCS for the channels of its stage that are currently assigned
-//! to its worker and, for each, tries to execute the channel's outstanding
-//! task:
+//! Each worker machine runs one [`StageWorker`] thread per stage. On every
+//! pass the thread serves the replays addressed to its worker, then reads
+//! the GCS for the channels of its stage currently assigned to its worker
+//! and, for each, tries to execute the channel's outstanding task:
 //!
 //! 1. pick the task's inputs — dynamically under
 //!    [`SchedulePolicy::Dynamic`], in fixed batches under
@@ -18,10 +18,25 @@
 //!    watermarks and the next task **in a single GCS transaction**; if the
 //!    push failed or the recovery barrier was raised, nothing is committed
 //!    and the task is retried later.
+//!
+//! A pass that runs nothing ends in a wait on the thread's
+//! [`Wakeup`](crate::wake::Wakeup), not a sleep. The wait ends when work
+//! arrives: a commit that gave one of the thread's channels rows (or
+//! finished an upstream channel), a served replay, a slice arriving off the
+//! wire, or the lowered recovery barrier. The idle backoff only bounds the
+//! wait, so a missed or cross-process event costs what a sleep-poll did.
+//!
+//! Under [`SchedulePolicy::Dynamic`] a channel runs no task on a run of
+//! committed inputs whose slices are all empty. The run stays in the inbox
+//! until a slice with rows joins it, it fills `max_inputs_per_task`, or it
+//! reaches the upstream channel's last output. Most shuffle slices of a
+//! selective query are empty, and each task would otherwise pay a GCS
+//! commit plus a push and a backup per consumer channel to move nothing.
 
 use crate::chaos::{ChaosEngine, CommitTally};
 use crate::layout::QueryLayout;
 use crate::stream::StreamEvent;
+use crate::wake::Wakeups;
 use parking_lot::Mutex;
 use quokka_batch::codec::{decode_partition, encode_partition};
 use quokka_batch::compute::hash_partition;
@@ -46,6 +61,10 @@ use std::time::Duration;
 
 /// Number of input splits a scan task reads at a time.
 const SPLITS_PER_TASK: usize = 2;
+
+/// Longest wait of a stage thread while the recovery barrier is raised;
+/// lowering the barrier ends it sooner.
+const PAUSED_WAIT: Duration = Duration::from_micros(100);
 
 /// Row cap for coalesced output slices: partition fragments are merged up
 /// to this size before boundary encoding, so each shuffle frame amortizes
@@ -74,11 +93,11 @@ pub struct Services {
     pub metrics: Arc<MetricsRegistry>,
     pub killed: Vec<AtomicBool>,
     /// Raised when the consuming stream is dropped; workers and the
-    /// coordinator wind the query down at their next poll.
+    /// coordinator wind the query down at their next pass.
     pub cancelled: Arc<std::sync::atomic::AtomicBool>,
     pub cost: CostModel,
     /// Per-worker liveness counters bumped by every stage thread on every
-    /// poll; the coordinator's failure detector suspects a worker whose
+    /// pass; the coordinator's failure detector suspects a worker whose
     /// counter stops moving for longer than the suspicion timeout.
     pub heartbeats: Vec<AtomicU64>,
     /// Chaos injection: while set, the worker's heartbeats are swallowed,
@@ -103,6 +122,8 @@ pub struct Services {
     pub delivered_sinks: Option<Arc<Mutex<HashSet<TaskName>>>>,
     /// The query's chaos plan; every task commit is counted against it.
     pub chaos: ChaosEngine,
+    /// What the stage threads and the coordinator wait on between passes.
+    pub wakeups: Arc<Wakeups>,
 }
 
 fn per_worker<T: Default>(workers: u32) -> Vec<T> {
@@ -125,6 +146,18 @@ impl Services {
         let workers = config.cluster.workers;
         let cost = CostModel::new(config.cost);
         let chaos = ChaosEngine::new(&config, layout.total_splits());
+        let wakeups = Arc::new(Wakeups::new(layout.workers(), layout.graph.stages.len()));
+        // A slice arriving off the wire wakes the thread hosting its
+        // consumer channel (in-process pushes land before their commit,
+        // which does the waking).
+        for worker in 0..layout.workers() {
+            if let Ok(server) = plane.server(worker) {
+                let wakeups = Arc::clone(&wakeups);
+                server.set_arrival_hook(Arc::new(move |consumer: ChannelAddr| {
+                    wakeups.thread(worker, consumer.stage).notify()
+                }));
+            }
+        }
         Services {
             backups: (0..workers)
                 .map(|w| Arc::new(LocalBackupStore::new(w, cost, Arc::clone(&metrics))))
@@ -146,6 +179,7 @@ impl Services {
             metrics,
             cost,
             chaos,
+            wakeups,
         }
     }
 
@@ -189,6 +223,12 @@ impl Services {
             "spool/{:04}/{:04}/{:08}/{:04}/{:04}",
             partition.stage, partition.channel, partition.seq, consumer.stage, consumer.channel
         )
+    }
+
+    /// Fail the query with `message` and wake the coordinator to report it.
+    pub fn fail_query(&self, message: &str) {
+        self.gcs.set_query_error(message);
+        self.wakeups.coordinator.notify();
     }
 
     /// Whether the consuming result stream has been dropped.
@@ -284,6 +324,9 @@ enum TaskInputs {
     FinalizeOnly,
     /// Nothing can be done right now; try again later.
     NotReady,
+    /// A committed run of inputs waits in the inbox because all of its
+    /// slices are empty (see the module docs). Nothing is missing.
+    Deferred,
 }
 
 /// One worker's executor thread for one stage.
@@ -302,20 +345,23 @@ impl StageWorker {
     /// Main loop: runs until the query finishes, fails, or this worker is
     /// killed.
     ///
-    /// Idle polling backs off exponentially (`poll_interval` up to ~5ms):
-    /// a stage whose inputs are not flowing should not spin at kHz rates.
-    /// With one thread per (worker, stage) pair, constant-rate polling
-    /// starves busy threads on small machines — enough to stall a query
-    /// outright when several engines share a core.
+    /// A pass that finds no work waits on the thread's wakeup, which the
+    /// events that bring work end early. The wait's timeout backs off
+    /// exponentially (`poll_interval` up to ~5ms) so that a thread nobody
+    /// wakes still looks again, without spinning: with one thread per
+    /// (worker, stage) pair, constant-rate polling starves busy threads on
+    /// small machines.
     pub fn run(mut self) {
-        let poll = self.services.config.cluster.poll_interval;
-        // Idle backoff shares the configured retry policy's shape but polls
+        let services = Arc::clone(&self.services);
+        let wakeup = services.wakeups.thread(self.worker, self.stage);
+        let poll = services.config.cluster.poll_interval;
+        // Idle backoff shares the configured retry policy's shape but waits
         // from `poll_interval` up to ~5ms; jitter decorrelates the stage
         // threads so they do not thunder against the GCS in lockstep.
         let idle_policy = RetryPolicy {
             base_delay: poll,
             max_delay: Duration::from_millis(5).max(poll),
-            ..self.services.config.retry
+            ..services.config.retry
         };
         let idle_seed = self
             .services
@@ -326,27 +372,30 @@ impl StageWorker {
             .wrapping_add(self.stage as u64);
         let mut idle = idle_policy.backoff_unbounded(idle_seed);
         loop {
-            self.services.heartbeat(self.worker);
-            if self.services.is_killed(self.worker) {
+            // Read the generation before looking for work: any notification
+            // from here on ends this pass's wait at once.
+            let seen = wakeup.generation();
+            services.heartbeat(self.worker);
+            if services.is_killed(self.worker) {
                 return;
             }
-            let gcs = &self.services.gcs;
-            if gcs.is_query_done() || gcs.query_error().is_some() || self.services.is_cancelled() {
+            let gcs = &services.gcs;
+            if gcs.is_query_done() || gcs.query_error().is_some() || services.is_cancelled() {
                 return;
             }
             if gcs.is_paused() {
-                std::thread::sleep(Duration::from_micros(100));
+                wakeup.wait(seen, PAUSED_WAIT);
                 continue;
             }
             let mut progressed = self.handle_replays();
-            for addr in self.services.layout.channels_of(self.stage) {
-                if self.services.is_killed(self.worker) {
+            for addr in services.layout.channels_of(self.stage) {
+                if services.is_killed(self.worker) {
                     return;
                 }
-                if self.services.gcs.is_paused() {
+                if gcs.is_paused() {
                     break;
                 }
-                let Some(state) = self.services.gcs.get_channel(addr) else { continue };
+                let Some(state) = gcs.get_channel(addr) else { continue };
                 if state.worker != self.worker || state.done {
                     continue;
                 }
@@ -355,7 +404,7 @@ impl StageWorker {
                     Ok(false) => {}
                     Err(e) if e.is_retryable() => {}
                     Err(e) => {
-                        self.services.gcs.set_query_error(&format!(
+                        services.fail_query(&format!(
                             "worker {} stage {}: {e}",
                             self.worker, self.stage
                         ));
@@ -363,10 +412,10 @@ impl StageWorker {
                     }
                 }
             }
-            if !progressed {
-                idle.sleep();
-            } else {
+            if progressed {
                 idle.reset();
+            } else {
+                wakeup.wait(seen, idle.next_delay().unwrap_or(idle_policy.max_delay));
             }
         }
     }
@@ -402,6 +451,7 @@ impl StageWorker {
                     // Flag it so the coordinator rewinds the producer and
                     // regenerates it from lineage.
                     services.gcs.mark_partition_lost(request.partition);
+                    services.wakeups.coordinator.notify();
                     continue;
                 }
             };
@@ -419,7 +469,10 @@ impl StageWorker {
                 batches,
             );
             match pushed {
-                Ok(()) => progressed = true,
+                Ok(()) => {
+                    services.wakeups.thread(consumer_state.worker, request.consumer.stage).notify();
+                    progressed = true;
+                }
                 Err(e) if e.is_retryable() => {
                     // Re-queue, charging the bounded attempt budget — unless
                     // the failure is one the coordinator is already
@@ -440,7 +493,7 @@ impl StageWorker {
                         || matches!(e, QuokkaError::WorkerFailed(_));
                     let attempts = request.attempts + u32::from(!repair_pending);
                     if attempts > services.config.retry.max_attempts {
-                        services.gcs.set_query_error(
+                        services.fail_query(
                             &QuokkaError::RetriesExhausted {
                                 operation: format!("replay of {}", request.partition),
                                 attempts,
@@ -456,7 +509,7 @@ impl StageWorker {
                 Err(e) => {
                     // A non-retryable destination failure: give up loudly
                     // instead of spinning on the request.
-                    services.gcs.set_query_error(&format!(
+                    services.fail_query(&format!(
                         "replay of {} to {} failed fatally: {e}",
                         request.partition, request.consumer
                     ));
@@ -535,6 +588,10 @@ impl StageWorker {
                 self.request_missing_inputs(state);
                 return Ok(false);
             }
+            // A deferred run waits for its upstream's next commit. It is
+            // not a missing input; a gap on another upstream is pulled once
+            // the run resolves, which it does by that upstream's last output.
+            TaskInputs::Deferred => return Ok(false),
             other => other,
         };
 
@@ -575,7 +632,7 @@ impl StageWorker {
                 }
             }
             TaskInputs::FinalizeOnly => LineageSource::Finalize,
-            TaskInputs::NotReady => unreachable!("handled above"),
+            TaskInputs::NotReady | TaskInputs::Deferred => unreachable!("handled above"),
         };
 
         if !replay_mode {
@@ -669,7 +726,7 @@ impl StageWorker {
             TaskInputs::Upstream { flat_index, partitions, .. } => {
                 new_state.consumed[*flat_index] += partitions.len() as u32;
             }
-            TaskInputs::FinalizeOnly | TaskInputs::NotReady => {}
+            TaskInputs::FinalizeOnly | TaskInputs::NotReady | TaskInputs::Deferred => {}
         }
         let scan_done = layout.graph.stage(self.stage).is_scan()
             && new_state.splits_consumed as usize >= layout.splits_for(addr).len();
@@ -726,6 +783,11 @@ impl StageWorker {
         let mut publish_backoff = services.config.retry.backoff_unbounded(
             services.config.seed ^ out_name.seq as u64 ^ (self.worker as u64) << 32,
         );
+        // Where the committed attempt pushed each slice, and whether the
+        // slice had rows: the threads to wake once the commit lands.
+        let mut destinations: Vec<(WorkerId, bool)> = Vec::with_capacity(slices.len());
+        // Whether the commit crossed a chaos trigger.
+        let mut crossed = false;
         loop {
             services.heartbeat(self.worker);
             if services.is_killed(self.worker)
@@ -761,6 +823,7 @@ impl StageWorker {
             // always advance. Consumers may have been reassigned since the
             // previous attempt, so the destination worker is re-resolved.
             let mut push_failed = false;
+            destinations.clear();
             for (consumer_addr, batches) in &slices {
                 let Some(consumer_state) = services.gcs.get_channel(*consumer_addr) else {
                     push_failed = true;
@@ -781,7 +844,8 @@ impl StageWorker {
                     out_name,
                     batches.clone(),
                 ) {
-                    Ok(()) => {}
+                    Ok(()) => destinations
+                        .push((consumer_state.worker, batches.iter().any(|b| b.num_rows() > 0))),
                     Err(e) if e.is_retryable() => {
                         push_failed = true;
                         break;
@@ -807,7 +871,10 @@ impl StageWorker {
             }
             if services
                 .chaos
-                .commit(&tally, |raise| services.gcs.commit_task(&commit, raise))
+                .commit(&tally, |raise| {
+                    crossed = raise;
+                    services.gcs.commit_task(&commit, raise)
+                })
                 .is_ok()
             {
                 break;
@@ -851,6 +918,29 @@ impl StageWorker {
             services.emit_result(out_name, outputs);
         }
         services.metrics.add_task(replay_mode);
+
+        // Wake whoever this commit gave work. Consumers wake for slices with
+        // rows; all of them wake when this channel finished (its last output
+        // closes their input) or when static batching counts empty slices
+        // towards its batches. The coordinator wakes for a sink commit (the
+        // query may be complete) and for a crossed chaos trigger.
+        if let Some((consumer_stage, _)) = consumer {
+            let wake_every_consumer = new_state.done
+                || !matches!(services.config.schedule, SchedulePolicy::Dynamic { .. });
+            let mut woken: Vec<WorkerId> = destinations
+                .iter()
+                .filter(|(_, rows)| *rows || wake_every_consumer)
+                .map(|(worker, _)| *worker)
+                .collect();
+            woken.sort_unstable();
+            woken.dedup();
+            for worker in woken {
+                services.wakeups.thread(worker, consumer_stage).notify();
+            }
+        }
+        if consumer.is_none() || crossed {
+            services.wakeups.coordinator.notify();
+        }
         let rt = self.channels.get_mut(&addr).expect("runtime present");
         rt.expected_seq = seq + 1;
         if new_state.done {
@@ -952,6 +1042,7 @@ impl StageWorker {
             }
             if let Some(owner) = owner {
                 services.gcs.add_replay(&ReplayRequest::new(owner, name, state.addr));
+                services.wakeups.thread(owner, self.stage).notify();
             }
         }
     }
@@ -1046,6 +1137,7 @@ impl StageWorker {
             SchedulePolicy::StaticBatch { batch } => batch,
         };
         let server = services.plane.server(self.worker)?;
+        let mut deferred = false;
         for (flat_index, (input_index, upstream)) in
             layout.upstream_channels(self.stage).iter().enumerate()
         {
@@ -1086,6 +1178,22 @@ impl StageWorker {
                     None => return Ok((TaskInputs::NotReady, vec![], false)),
                 }
             }
+            // Dynamic lineage: leave a short run of empty slices in the
+            // inbox while its upstream may still commit more outputs onto
+            // it. Once the upstream has committed past the run (the next
+            // slice is in flight or lost) the run is taken as before, so
+            // the missing-input pull path still sees the gap.
+            if matches!(services.config.schedule, SchedulePolicy::Dynamic { .. })
+                && count < max_inputs
+                && partitions.iter().all(|(_, batches)| batches.iter().all(|b| b.num_rows() == 0))
+                && services
+                    .gcs
+                    .get_channel(*upstream)
+                    .is_some_and(|up| !up.done && up.outputs_produced() <= consumed + count)
+            {
+                deferred = true;
+                continue;
+            }
             return Ok((
                 TaskInputs::Upstream {
                     input_index: *input_index,
@@ -1099,6 +1207,11 @@ impl StageWorker {
             ));
         }
 
+        if deferred {
+            // A deferred run's upstream is unfinished, so the channel
+            // cannot finalize either.
+            return Ok((TaskInputs::Deferred, vec![], false));
+        }
         // Nothing to consume: maybe every upstream is exhausted and it is
         // time to finalize the channel.
         if self.all_inputs_exhausted(state)? {
@@ -1205,4 +1318,196 @@ pub fn spawn_workers_for(
         }
     }
     handles
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use quokka_batch::{DataType, Schema};
+    use quokka_plan::aggregate::sum;
+    use quokka_plan::expr::col;
+    use quokka_plan::logical::PlanBuilder;
+    use quokka_plan::stage::StageGraph;
+    use quokka_storage::DurableObjectStore;
+    use std::sync::mpsc::{channel, Receiver};
+
+    /// The scan channel, driven by hand, and the aggregate channel under
+    /// test (the sink) of `scan(t) -> aggregate` on one worker.
+    const SCAN: ChannelAddr = ChannelAddr::new(0, 0);
+    const AGG: ChannelAddr = ChannelAddr::new(1, 0);
+
+    fn harness(schedule: SchedulePolicy) -> (Arc<Services>, Receiver<StreamEvent>) {
+        let schema = Schema::from_pairs(&[("k", DataType::Int64), ("v", DataType::Int64)]);
+        let plan = PlanBuilder::scan("t", schema)
+            .aggregate(vec![(col("k"), "k")], vec![sum(col("v"), "total")])
+            .build()
+            .unwrap();
+        let config = EngineConfig::quokka(1).with_schedule(schedule);
+        let graph = StageGraph::compile(&plan).unwrap();
+        let splits = BTreeMap::from([("t".to_string(), 0)]);
+        let layout = Arc::new(QueryLayout::new(graph, &config.cluster, &splits).unwrap());
+        let (cost, metrics) = (CostModel::free(), MetricsRegistry::new());
+        let (tx, rx) = channel();
+        let services = Services::new(
+            config,
+            layout,
+            Arc::new(Gcs::default()),
+            Arc::new(DataPlane::new(1, cost, Arc::clone(&metrics))),
+            Arc::new(DurableObjectStore::new(cost, Arc::clone(&metrics), BTreeMap::new())),
+            tx,
+            metrics,
+        );
+        services.register_channels();
+        (Arc::new(services), rx)
+    }
+
+    /// Push scan output `seq` (rows of `(k, v)`) to the aggregate's inbox.
+    fn push(services: &Services, seq: SeqNo, rows: &[(i64, i64)]) {
+        let schema = services.layout.graph.stage(SCAN.stage).output_schema().unwrap();
+        let batch = Batch::try_new(
+            schema,
+            vec![
+                Column::Int64(rows.iter().map(|r| r.0).collect()),
+                Column::Int64(rows.iter().map(|r| r.1).collect()),
+            ],
+        )
+        .unwrap();
+        services.plane.push(0, 0, AGG, SCAN.task(seq), vec![batch]).unwrap();
+    }
+
+    /// Commit scan output `seq`'s lineage and the scan channel's new state.
+    fn commit(services: &Services, seq: SeqNo, last: bool) {
+        services.gcs.put_lineage(&LineageRecord {
+            task: SCAN.task(seq),
+            source: LineageSource::InputSplits { splits: vec![] },
+            finished_inputs: vec![],
+            finalize: last,
+            output_rows: 0,
+            output_bytes: 0,
+        });
+        let mut state = services.gcs.get_channel(SCAN).unwrap();
+        state.committed_seq = Some(seq);
+        state.done = last;
+        services.gcs.put_channel(&state);
+    }
+
+    fn produce(services: &Services, seq: SeqNo, rows: &[(i64, i64)], last: bool) {
+        push(services, seq, rows);
+        commit(services, seq, last);
+    }
+
+    /// Try the aggregate channel's outstanding task; whether it committed.
+    fn step(worker: &mut StageWorker) -> bool {
+        let state = worker.services.gcs.get_channel(AGG).unwrap();
+        worker.try_task(&state).unwrap()
+    }
+
+    /// The scan outputs the aggregate's task `seq` consumed.
+    fn consumed(services: &Services, seq: SeqNo) -> (SeqNo, u32) {
+        match services.gcs.get_lineage(AGG.task(seq)).unwrap().source {
+            LineageSource::Upstream { start_seq, count, .. } => (start_seq, count),
+            other => panic!("task {seq} consumed {other:?}"),
+        }
+    }
+
+    #[test]
+    fn empty_runs_wait_for_rows_a_full_run_or_the_last_output() {
+        let (services, _results) = harness(SchedulePolicy::Dynamic { max_inputs_per_task: 4 });
+        let mut worker = StageWorker::new(0, AGG.stage, Arc::clone(&services));
+
+        produce(&services, 0, &[], false);
+        produce(&services, 1, &[], false);
+        assert!(!step(&mut worker), "two empty slices wait in the inbox");
+        produce(&services, 2, &[(1, 10)], false);
+        assert!(step(&mut worker));
+        assert_eq!(consumed(&services, 0), (0, 3), "rows take the empty run along");
+
+        for seq in 3..7 {
+            produce(&services, seq, &[], false);
+        }
+        assert!(step(&mut worker), "a full run of empty slices runs");
+        assert_eq!(consumed(&services, 1), (3, 4));
+
+        produce(&services, 7, &[], false);
+        assert!(!step(&mut worker));
+        // The upstream commits output 8 before its slice arrives (in flight,
+        // or lost): the run stops waiting, so the gap becomes the watermark
+        // the missing-input pull path repairs.
+        commit(&services, 8, false);
+        assert!(step(&mut worker));
+        assert_eq!(consumed(&services, 2), (7, 1));
+
+        push(&services, 8, &[]);
+        produce(&services, 9, &[], true);
+        assert!(step(&mut worker), "the upstream's last output closes the run");
+        assert_eq!(consumed(&services, 3), (8, 2));
+        let last = services.gcs.get_lineage(AGG.task(3)).unwrap();
+        assert_eq!((last.finished_inputs, last.finalize), (vec![0], true));
+        assert!(services.gcs.get_channel(AGG).unwrap().done);
+        assert_eq!(services.metrics.snapshot(Duration::ZERO).tasks_executed, 4);
+        assert!(services.gcs.replays_for_worker(0).is_empty(), "a deferred run is not missing");
+    }
+
+    #[test]
+    fn static_batches_still_take_empty_slices() {
+        let (services, _results) = harness(SchedulePolicy::StaticBatch { batch: 2 });
+        let mut worker = StageWorker::new(0, AGG.stage, Arc::clone(&services));
+        produce(&services, 0, &[], false);
+        assert!(!step(&mut worker), "half a batch waits");
+        produce(&services, 1, &[], false);
+        assert!(step(&mut worker));
+        assert_eq!(consumed(&services, 0), (0, 2));
+    }
+
+    #[test]
+    fn replaying_lineage_over_empty_partitions_reproduces_the_output() {
+        let (services, results) = harness(SchedulePolicy::Dynamic { max_inputs_per_task: 4 });
+        let inputs: [&[(i64, i64)]; 6] = [&[], &[(1, 10), (2, 5)], &[], &[(1, 7)], &[], &[(3, 1)]];
+        let last = inputs.len() as SeqNo - 1;
+        let mut worker = StageWorker::new(0, AGG.stage, Arc::clone(&services));
+        for (seq, rows) in inputs.iter().enumerate() {
+            produce(&services, seq as SeqNo, rows, seq as SeqNo == last);
+            step(&mut worker);
+        }
+        while !services.gcs.get_channel(AGG).unwrap().done {
+            assert!(step(&mut worker), "the aggregate must finish");
+        }
+        let emitted = |results: &Receiver<StreamEvent>| -> Vec<(TaskName, Vec<Batch>)> {
+            results
+                .try_iter()
+                .filter_map(|event| match event {
+                    StreamEvent::Batch { name, batches } => Some((name, batches)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let original = emitted(&results);
+        let ranges: Vec<_> = (0..original.len() as SeqNo).map(|s| consumed(&services, s)).collect();
+        assert!(
+            ranges.iter().any(|&(start, count)| (start..start + count)
+                .any(|seq| inputs[seq as usize].is_empty())
+                && count > 1),
+            "some logged range must span empty partitions: {ranges:?}"
+        );
+
+        // Rewind the channel as recovery does, and re-deliver its inputs.
+        let committed = services.gcs.get_channel(AGG).unwrap().committed_seq;
+        let mut rewound = ChannelState::new(AGG, 0, 1);
+        rewound.rewind_until = committed;
+        services.gcs.put_channel(&rewound);
+        services.gcs.put_task(&TaskEntry { task: AGG.task(0), worker: 0 });
+        for (seq, rows) in inputs.iter().enumerate() {
+            push(&services, seq as SeqNo, rows);
+        }
+        let mut replayer = StageWorker::new(0, AGG.stage, Arc::clone(&services));
+        while !services.gcs.get_channel(AGG).unwrap().done {
+            assert!(step(&mut replayer), "every replayed task has its inputs");
+        }
+        assert_eq!(emitted(&results), original, "the replay must re-emit the same partitions");
+        let replayed: Vec<_> =
+            (0..original.len() as SeqNo).map(|s| consumed(&services, s)).collect();
+        assert_eq!(replayed, ranges);
+        let metrics = services.metrics.snapshot(Duration::ZERO);
+        assert_eq!(metrics.recovery_tasks, original.len() as u64);
+    }
 }

@@ -2,10 +2,16 @@
 
 use parking_lot::RwLock;
 use quokka_batch::Batch;
-use quokka_common::ids::{ChannelAddr, PartitionName, WorkerId};
+use quokka_common::ids::{ChannelAddr, PartitionName, SeqNo, WorkerId};
 use quokka_common::{QuokkaError, Result};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+/// Called with the consumer channel of every slice that arrives off the
+/// wire ([`FlightServer::deliver`]); the engine wakes the thread hosting
+/// that channel.
+pub type ArrivalHook = Arc<dyn Fn(ChannelAddr) + Send + Sync>;
 
 /// Key of one pushed slice: which channel it is for, and which task produced
 /// it.
@@ -21,16 +27,36 @@ pub struct SliceKey {
 /// is killed the inbox is dropped, so any slice that had not been consumed
 /// (or that the consumer will need again after being rewound) has to be
 /// replayed from the producer's local backup or regenerated.
-#[derive(Debug)]
 pub struct FlightServer {
     worker: WorkerId,
     inbox: RwLock<BTreeMap<SliceKey, Vec<Batch>>>,
     failed: AtomicBool,
+    arrival: RwLock<Option<ArrivalHook>>,
+}
+
+impl std::fmt::Debug for FlightServer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FlightServer")
+            .field("worker", &self.worker)
+            .field("slices", &self.len())
+            .field("failed", &self.is_failed())
+            .finish()
+    }
 }
 
 impl FlightServer {
     pub fn new(worker: WorkerId) -> Self {
-        FlightServer { worker, inbox: RwLock::new(BTreeMap::new()), failed: AtomicBool::new(false) }
+        FlightServer {
+            worker,
+            inbox: RwLock::new(BTreeMap::new()),
+            failed: AtomicBool::new(false),
+            arrival: RwLock::new(None),
+        }
+    }
+
+    /// Run `hook` after every slice [`deliver`](Self::deliver) accepts.
+    pub fn set_arrival_hook(&self, hook: ArrivalHook) {
+        *self.arrival.write() = Some(hook);
     }
 
     pub fn worker(&self) -> WorkerId {
@@ -48,6 +74,22 @@ impl FlightServer {
             return Err(QuokkaError::WorkerFailed(self.worker));
         }
         self.inbox.write().insert(SliceKey { consumer, producer }, batches);
+        Ok(())
+    }
+
+    /// Accept a slice that arrived over a wire transport, then run the
+    /// arrival hook. In-process pushes use [`push`](Self::push): their
+    /// producer wakes the consumer itself once the lineage commits.
+    pub fn deliver(
+        &self,
+        consumer: ChannelAddr,
+        producer: PartitionName,
+        batches: Vec<Batch>,
+    ) -> Result<()> {
+        self.push(consumer, producer, batches)?;
+        if let Some(hook) = self.arrival.read().as_ref() {
+            hook(consumer);
+        }
         Ok(())
     }
 
@@ -70,19 +112,11 @@ impl FlightServer {
         if self.failed.load(Ordering::SeqCst) {
             return Vec::new();
         }
-        let inbox = self.inbox.read();
-        let mut found: Vec<PartitionName> = inbox
-            .keys()
-            .filter(|k| {
-                k.consumer == consumer
-                    && k.producer.stage == upstream.stage
-                    && k.producer.channel == upstream.channel
-                    && k.producer.seq >= start_seq
-            })
-            .map(|k| k.producer)
-            .collect();
-        found.sort();
-        found
+        // Keys order by consumer, then producer stage, channel and sequence
+        // number, so the slices wanted are one contiguous, sorted range.
+        let from = SliceKey { consumer, producer: upstream.task(start_seq) };
+        let to = SliceKey { consumer, producer: upstream.task(SeqNo::MAX) };
+        self.inbox.read().range(from..=to).map(|(k, _)| k.producer).collect()
     }
 
     /// Remove and return a slice (the consuming task takes ownership).
@@ -186,6 +220,23 @@ mod tests {
         assert!(!fs.has_slice(a, TaskName::new(0, 0, 0)));
         assert!(fs.has_slice(b, TaskName::new(0, 0, 0)));
         assert_eq!(fs.len(), 1);
+    }
+
+    #[test]
+    fn only_wire_deliveries_run_the_arrival_hook() {
+        let fs = FlightServer::new(0);
+        let arrived = Arc::new(RwLock::new(Vec::new()));
+        let log = Arc::clone(&arrived);
+        fs.set_arrival_hook(Arc::new(move |consumer| log.write().push(consumer)));
+        let consumer = ChannelAddr::new(1, 0);
+        fs.push(consumer, TaskName::new(0, 0, 0), vec![]).unwrap();
+        assert!(arrived.read().is_empty(), "a local push does not run the hook");
+        fs.deliver(consumer, TaskName::new(0, 0, 1), vec![]).unwrap();
+        assert_eq!(*arrived.read(), vec![consumer]);
+        assert!(fs.has_slice(consumer, TaskName::new(0, 0, 1)));
+        fs.fail();
+        assert!(fs.deliver(consumer, TaskName::new(0, 0, 2), vec![]).is_err());
+        assert_eq!(arrived.read().len(), 1, "a rejected delivery wakes nobody");
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod slab;
 pub mod tcp;
 pub mod transport;
 
-pub use flight::{FlightServer, SliceKey};
+pub use flight::{ArrivalHook, FlightServer, SliceKey};
 pub use plane::DataPlane;
 pub use slab::SlabPool;
 pub use tcp::{DeliverFn, TcpTransport};

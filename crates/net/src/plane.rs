@@ -119,14 +119,14 @@ impl DataPlane {
         }
     }
 
-    /// The delivery callback a socket transport needs: push every
-    /// reassembled frame straight into the destination worker's inbox.
-    /// Fire-and-forget — a push racing a kill is dropped here, exactly the
-    /// slice loss lineage replay repairs.
+    /// The delivery callback a socket transport needs: deliver every
+    /// reassembled frame straight into the destination worker's inbox,
+    /// running its arrival hook. Fire-and-forget — a push racing a kill is
+    /// dropped here, exactly the slice loss lineage replay repairs.
     pub fn deliver_into(inboxes: Vec<Arc<FlightServer>>) -> DeliverFn {
         Arc::new(move |_source, destination, consumer, producer, batches| {
             if let Some(server) = inboxes.get(destination as usize) {
-                let _ = server.push(consumer, producer, batches);
+                let _ = server.deliver(consumer, producer, batches);
             }
         })
     }

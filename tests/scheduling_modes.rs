@@ -39,15 +39,6 @@ fn static_batching_still_processes_every_partition() {
 }
 
 #[test]
-fn batch_rows_do_not_change_answers() {
-    let session = session();
-    let plan = quokka::tpch::query(14).unwrap();
-    let a = session.run_with(&plan, &EngineConfig::quokka(3).with_batch_rows(512)).unwrap();
-    let b = session.run_with(&plan, &EngineConfig::quokka(3).with_batch_rows(8192)).unwrap();
-    assert!(same_result(&a.batch, &b.batch));
-}
-
-#[test]
 fn more_channels_than_workers_is_supported() {
     let session = session();
     let plan = quokka::tpch::query(4).unwrap();
