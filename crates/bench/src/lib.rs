@@ -20,7 +20,8 @@
 //!   0.02; 0 disables simulated I/O delays entirely).
 
 use quokka::{
-    CostModelConfig, EngineConfig, FailureSpec, LogicalPlan, QueryMetrics, QuokkaSession,
+    ChaosEvent, ChaosTrigger, CostModelConfig, EngineConfig, LogicalPlan, QueryMetrics,
+    QuokkaSession,
 };
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -99,7 +100,7 @@ impl Harness {
     }
 
     /// Time one query under one configuration with a worker killed at the
-    /// given progress fraction.
+    /// given progress fraction, on top of the configuration's own chaos plan.
     pub fn run_with_failure(
         &self,
         label: &str,
@@ -108,8 +109,9 @@ impl Harness {
         worker: u32,
         at_progress: f64,
     ) -> quokka::Result<Measurement> {
-        let config = config.clone().with_failure(FailureSpec::new(worker, at_progress));
-        self.run(label, query, &config)
+        let kill = ChaosEvent::KillWorker { worker };
+        let chaos = config.chaos.clone().with(ChaosTrigger::Progress(at_progress), kill);
+        self.run(label, query, &config.clone().with_chaos(chaos))
     }
 }
 

@@ -1,15 +1,14 @@
 //! Deterministic chaos plans: reproducible schedules of injectable faults.
 //!
-//! [`crate::config::FailureSpec`] describes exactly one fault shape — "kill
-//! worker W once a fraction of the input has been consumed". The chaos
-//! vocabulary here generalises that into a [`ChaosPlan`]: an ordered set of
+//! The paper's failure experiment (§V-D) has one fault shape — "kill worker
+//! W once a fraction of the input has been consumed". The chaos vocabulary
+//! here generalises that into a [`ChaosPlan`]: an ordered set of
 //! [`ChaosInjection`]s, each pairing a counter-based [`ChaosTrigger`] with a
 //! [`ChaosEvent`]. Triggers fire on *engine counters* (input progress, task
 //! commits, recovery tasks) rather than wall-clock time, so a plan injects
 //! the same faults at the same logical points on every run — and a failing
 //! randomized plan can be reproduced from nothing but its seed.
 
-use crate::config::FailureSpec;
 use crate::ids::WorkerId;
 use crate::rng::DetRng;
 use serde::{Deserialize, Serialize};
@@ -24,7 +23,7 @@ use std::time::Duration;
 pub enum ChaosTrigger {
     /// Fire once this fraction of the query's source splits has been
     /// consumed (0.0 ..= 1.0; splits re-read by recovery count again). The
-    /// trigger `FailureSpec` uses.
+    /// trigger of the paper's kill experiment.
     Progress(f64),
     /// Fire once the engine has committed this many tasks in total. This is
     /// the "kill at a task-commit boundary" trigger: sweeping the threshold
@@ -45,7 +44,6 @@ pub enum ChaosTrigger {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ChaosEvent {
     /// Kill a worker: flight server, backup disk and task threads all die.
-    /// Exactly what `FailureSpec` injects today.
     KillWorker { worker: WorkerId },
     /// Suppress a worker's heartbeats without killing it. The failure
     /// detector must eventually suspect the worker and reconcile its
@@ -117,7 +115,8 @@ impl ChaosPlan {
         Self::new().with(ChaosTrigger::TaskCommits(commits), ChaosEvent::KillWorker { worker })
     }
 
-    /// Kill `worker` at an input-progress fraction (the `FailureSpec` shape).
+    /// Kill `worker` at an input-progress fraction (the paper's experiment
+    /// kills one at 0.5). Add a second kill with [`ChaosPlan::with`].
     pub fn kill_at_progress(worker: WorkerId, fraction: f64) -> Self {
         Self::new().with(ChaosTrigger::Progress(fraction), ChaosEvent::KillWorker { worker })
     }
@@ -130,19 +129,6 @@ impl ChaosPlan {
             ChaosTrigger::StatefulCommits { worker, commits: 1 },
             ChaosEvent::KillWorker { worker },
         )
-    }
-
-    /// Fold legacy `FailureSpec`s into chaos injections so the engine has a
-    /// single injection path.
-    pub fn from_failures(failures: &[FailureSpec]) -> Self {
-        let mut plan = Self::new();
-        for f in failures {
-            plan = plan.with(
-                ChaosTrigger::Progress(f.at_progress),
-                ChaosEvent::KillWorker { worker: f.worker },
-            );
-        }
-        plan
     }
 
     /// Whether any injection kills a worker (as opposed to only degrading
@@ -205,20 +191,6 @@ impl ChaosPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn from_failures_preserves_order_and_shape() {
-        let plan = ChaosPlan::from_failures(&[FailureSpec::halfway(1), FailureSpec::new(2, 0.8)]);
-        assert_eq!(plan.injections.len(), 2);
-        assert!(plan.kills_workers());
-        assert_eq!(
-            plan.injections[0],
-            ChaosInjection {
-                at: ChaosTrigger::Progress(0.5),
-                event: ChaosEvent::KillWorker { worker: 1 },
-            }
-        );
-    }
 
     #[test]
     fn randomized_plans_are_reproducible_from_the_seed() {

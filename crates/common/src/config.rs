@@ -9,11 +9,10 @@
 //! * Fig. 7 toggles [`ExecutionMode`].
 //! * Fig. 8 toggles [`SchedulePolicy`].
 //! * Fig. 9 toggles [`FaultStrategy`].
-//! * Fig. 10 / 11b add a [`FailureSpec`].
+//! * Fig. 10 / 11b add a worker kill ([`ChaosPlan::kill_at_progress`]).
 
 use crate::chaos::ChaosPlan;
 use crate::error::{QuokkaError, Result};
-use crate::ids::WorkerId;
 use crate::retry::RetryPolicy;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -216,29 +215,6 @@ impl Default for ClusterConfig {
     }
 }
 
-/// A failure to inject during a run (paper §V-D: "a worker machine is killed
-/// halfway through the query").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FailureSpec {
-    /// Which worker dies.
-    pub worker: WorkerId,
-    /// Kill the worker once this fraction of the query's source splits have
-    /// been consumed (0.0 .. 1.0). Progress by input consumption is used
-    /// instead of wall-clock time so experiments are reproducible.
-    pub at_progress: f64,
-}
-
-impl FailureSpec {
-    pub fn new(worker: WorkerId, at_progress: f64) -> Self {
-        FailureSpec { worker, at_progress }
-    }
-
-    /// The paper's standard experiment: kill a worker at 50% progress.
-    pub fn halfway(worker: WorkerId) -> Self {
-        Self::new(worker, 0.5)
-    }
-}
-
 /// Admission control for concurrent serving: how many queries may execute
 /// at once, how many may wait, and how much memory the admitted set may
 /// claim. The controller enforcing this lives in `quokka-engine`; a session
@@ -371,12 +347,10 @@ pub struct EngineConfig {
     pub schedule: SchedulePolicy,
     pub fault: FaultStrategy,
     pub cost: CostModelConfig,
-    /// Failures to inject (empty for normal-execution experiments).
-    /// Folded into the chaos plan at run time; kept for API compatibility
-    /// with the single-kill experiments of the paper.
-    pub failures: Vec<FailureSpec>,
-    /// Generalized fault schedule (kills, suspicions, lost backups, dropped
-    /// or delayed pushes, stragglers). See [`ChaosPlan`].
+    /// Faults to inject (empty for normal-execution experiments): kills,
+    /// suspicions, lost backups, dropped or delayed pushes, stragglers. The
+    /// paper's experiment kills a worker halfway through the query (§V-D):
+    /// `ChaosPlan::kill_at_progress(worker, 0.5)`. See [`ChaosPlan`].
     pub chaos: ChaosPlan,
     /// Stall watchdog: if no task commits for this long the coordinator
     /// aborts the run with a diagnostic dump. The `QUOKKA_WATCHDOG_SECS`
@@ -419,7 +393,6 @@ impl EngineConfig {
             schedule: SchedulePolicy::dynamic(),
             fault: FaultStrategy::WriteAheadLineage,
             cost: CostModelConfig::zero(),
-            failures: Vec::new(),
             chaos: ChaosPlan::new(),
             watchdog: Duration::from_secs(120),
             query_timeout: None,
@@ -468,10 +441,6 @@ impl EngineConfig {
     }
     pub fn with_cost(mut self, cost: CostModelConfig) -> Self {
         self.cost = cost;
-        self
-    }
-    pub fn with_failure(mut self, failure: FailureSpec) -> Self {
-        self.failures.push(failure);
         self
     }
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -640,12 +609,12 @@ mod tests {
             .with_mode(ExecutionMode::Stagewise)
             .with_schedule(SchedulePolicy::StaticBatch { batch: 8 })
             .with_fault(FaultStrategy::None)
-            .with_failure(FailureSpec::halfway(2))
+            .with_chaos(ChaosPlan::kill_at_progress(2, 0.5))
             .with_seed(7);
         assert_eq!(cfg.mode, ExecutionMode::Stagewise);
         assert_eq!(cfg.schedule, SchedulePolicy::StaticBatch { batch: 8 });
         assert_eq!(cfg.fault, FaultStrategy::None);
-        assert_eq!(cfg.failures.len(), 1);
+        assert_eq!(cfg.chaos.injections.len(), 1);
         assert_eq!(cfg.seed, 7);
     }
 

@@ -12,7 +12,7 @@
 //!   configuration.
 //! * [`chaos`] — deterministic chaos plans: reproducible schedules of
 //!   kills, suspicions, lost backups, dropped/delayed pushes and
-//!   stragglers, generalising the single-kill `FailureSpec`.
+//!   stragglers, the engine's one fault-injection API.
 //! * [`retry`] — bounded exponential backoff with deterministic jitter,
 //!   shared by every retry loop in the engine.
 //! * [`metrics`] — counters collected during query execution (bytes spooled,
@@ -34,8 +34,8 @@ pub mod rng;
 
 pub use chaos::{ChaosEvent, ChaosInjection, ChaosPlan, ChaosTrigger};
 pub use config::{
-    AdmissionConfig, ClusterConfig, CostModelConfig, EngineConfig, ExecutionMode, FailureSpec,
-    FaultStrategy, PlanCacheConfig, SchedulePolicy, TransportConfig, TransportKind,
+    AdmissionConfig, ClusterConfig, CostModelConfig, EngineConfig, ExecutionMode, FaultStrategy,
+    PlanCacheConfig, SchedulePolicy, TransportConfig, TransportKind,
 };
 pub use error::{QuokkaError, Result};
 pub use ids::{ChannelAddr, ChannelId, PartitionName, SeqNo, StageId, TaskName, WorkerId};

@@ -82,7 +82,8 @@ pub struct QueryMetrics {
     /// Bytes of operator state written as checkpoints (subset of
     /// `durable_bytes` when checkpointing is enabled).
     pub checkpoint_bytes: u64,
-    /// Bytes of lineage records committed to the GCS.
+    /// Bytes of lineage records committed to the GCS, in the records'
+    /// binary encoding.
     pub lineage_bytes: u64,
     /// Number of GCS transactions committed.
     pub gcs_transactions: u64,
@@ -176,8 +177,6 @@ pub struct MetricsRegistry {
     backup_bytes: AtomicU64,
     backup_raw_bytes: AtomicU64,
     checkpoint_bytes: AtomicU64,
-    lineage_bytes: AtomicU64,
-    gcs_transactions: AtomicU64,
     failures: AtomicU64,
     chaos_events: AtomicU64,
     suspicions: AtomicU64,
@@ -204,8 +203,6 @@ impl Default for MetricsRegistry {
             backup_bytes: AtomicU64::new(0),
             backup_raw_bytes: AtomicU64::new(0),
             checkpoint_bytes: AtomicU64::new(0),
-            lineage_bytes: AtomicU64::new(0),
-            gcs_transactions: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             chaos_events: AtomicU64::new(0),
             suspicions: AtomicU64::new(0),
@@ -292,12 +289,6 @@ impl MetricsRegistry {
     pub fn add_checkpoint_bytes(&self, bytes: u64) {
         self.checkpoint_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
-    pub fn add_lineage_bytes(&self, bytes: u64) {
-        self.lineage_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-    pub fn add_gcs_transaction(&self) {
-        self.gcs_transactions.fetch_add(1, Ordering::Relaxed);
-    }
     pub fn add_failure(&self) {
         self.failures.fetch_add(1, Ordering::Relaxed);
     }
@@ -368,8 +359,9 @@ impl MetricsRegistry {
             backup_bytes: self.backup_bytes.load(Ordering::Relaxed),
             backup_raw_bytes: self.backup_raw_bytes.load(Ordering::Relaxed),
             checkpoint_bytes: self.checkpoint_bytes.load(Ordering::Relaxed),
-            lineage_bytes: self.lineage_bytes.load(Ordering::Relaxed),
-            gcs_transactions: self.gcs_transactions.load(Ordering::Relaxed),
+            // Both come from the GCS; the runtime fills them in.
+            lineage_bytes: 0,
+            gcs_transactions: 0,
             failures: self.failures.load(Ordering::Relaxed),
             chaos_events: self.chaos_events.load(Ordering::Relaxed),
             suspicions: self.suspicions.load(Ordering::Relaxed),
@@ -419,8 +411,6 @@ mod tests {
         reg.add_durable_bytes(50);
         reg.add_backup_bytes(25);
         reg.add_backup_raw_bytes(40);
-        reg.add_lineage_bytes(12);
-        reg.add_gcs_transaction();
         reg.add_failure();
         reg.add_output_rows(7);
         reg.add_recovery_planning(Duration::from_millis(3));
@@ -442,8 +432,6 @@ mod tests {
         assert_eq!(snap.durable_bytes, 50);
         assert_eq!(snap.backup_bytes, 25);
         assert_eq!(snap.backup_raw_bytes, 40);
-        assert_eq!(snap.lineage_bytes, 12);
-        assert_eq!(snap.gcs_transactions, 1);
         assert_eq!(snap.failures, 1);
         assert_eq!(snap.output_rows, 7);
         assert_eq!(snap.recovery_planning, Duration::from_millis(3));

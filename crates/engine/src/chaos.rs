@@ -1,4 +1,5 @@
-//! The chaos engine: applies a [`ChaosPlan`] to a running query.
+//! The chaos engine: applies a [`ChaosPlan`](quokka_common::ChaosPlan) to a
+//! running query.
 //!
 //! Triggers count task commits (input splits consumed, tasks committed,
 //! recovery tasks, a worker's state-holding commits). Every commit of an
@@ -11,7 +12,7 @@
 
 use crate::worker::Services;
 use parking_lot::Mutex;
-use quokka_common::chaos::{ChaosEvent, ChaosInjection, ChaosPlan, ChaosTrigger};
+use quokka_common::chaos::{ChaosEvent, ChaosInjection, ChaosTrigger};
 use quokka_common::config::EngineConfig;
 use quokka_common::ids::WorkerId;
 use quokka_common::Result;
@@ -95,16 +96,11 @@ pub struct ChaosEngine {
 }
 
 impl ChaosEngine {
-    /// Build the engine from a query's configuration: the legacy
-    /// `FailureSpec` list is folded into chaos injections so the engine has
-    /// exactly one injection path, then the configured [`ChaosPlan`] is
-    /// appended. Triggers already reached before any commit (a zero
-    /// threshold) fire at once.
+    /// Build the engine from the query's configured chaos plan. Triggers
+    /// already reached before any commit (a zero threshold) fire at once.
     pub fn new(config: &EngineConfig, total_splits: u64) -> Self {
-        let mut plan = ChaosPlan::from_failures(&config.failures);
-        plan.injections.extend(config.chaos.injections.iter().copied());
         let mut state = ChaosState {
-            pending: plan.injections,
+            pending: config.chaos.injections.clone(),
             fired: Vec::new(),
             counts: Counts {
                 stateful: vec![0; config.cluster.workers as usize],
@@ -188,7 +184,7 @@ pub fn apply(event: ChaosEvent, services: &Services) -> Option<WorkerId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quokka_common::QuokkaError;
+    use quokka_common::{ChaosPlan, QuokkaError};
 
     fn tally(worker: WorkerId, holds_state: bool) -> CommitTally {
         CommitTally { worker, splits: 1, recovery: false, holds_state }

@@ -6,15 +6,16 @@
 //! does across machines:
 //!
 //! * The **driver** process keeps the authoritative services — the GCS
-//!   [`KvStore`], the durable object store, the result sink and the
+//!   tables, the durable object store, the result sink and the
 //!   [`Coordinator`] — and hosts *no* workers. It exposes them over a tiny
 //!   length-prefixed control protocol ([`quokka_gcs::remote`]) on a loopback
-//!   listener.
+//!   listener, answering each GCS call by calling the same [`Gcs`] method on
+//!   its own tables.
 //! * Each **workerd** process ([`run_workerd`], driven by the
 //!   `quokka-workerd` binary) hosts a contiguous range of workers. Its GCS
-//!   handle is a [`KvStore::remote`] proxy, its durable store a
-//!   [`RemoteDurable`] proxy, and its shuffle plane a real
-//!   [`TcpTransport`] mesh wired to every peer process.
+//!   handle is a [`Gcs::remote`] handle that sends each call as one control
+//!   frame, its durable store a [`RemoteDurable`] proxy, and its shuffle
+//!   plane a real [`TcpTransport`] mesh wired to every peer process.
 //!
 //! Because every recovery action in Quokka is a GCS edit, the coordinator's
 //! failure handling is *unchanged*: SIGKILL a workerd process and its
@@ -39,9 +40,9 @@ use quokka_common::metrics::{MetricsRegistry, PeerWireStats};
 use quokka_common::{QuokkaError, Result};
 use quokka_gcs::remote::{
     self, ControlClient, OP_DURABLE_CONTAINS, OP_DURABLE_GET, OP_DURABLE_LIST, OP_DURABLE_PUT,
-    OP_DURABLE_READ_SPLIT, OP_HEARTBEAT, OP_SINK_EMIT, OP_WIRE_STATS,
+    OP_DURABLE_READ_SPLIT, OP_GCS, OP_HEARTBEAT, OP_SINK_EMIT, OP_WIRE_STATS,
 };
-use quokka_gcs::{Gcs, KvStore};
+use quokka_gcs::Gcs;
 use quokka_net::{DataPlane, FlightServer, TcpTransport};
 use quokka_plan::catalog::TableSplits;
 use quokka_plan::stage::StageGraph;
@@ -59,11 +60,6 @@ use std::time::{Duration, Instant};
 /// address before giving up. Generous: peers may still be compiling their
 /// table snapshots.
 const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// KV key under which process `p` publishes its transport listener address.
-fn proc_addr_key(process: usize) -> String {
-    format!("proc/addr/{process:08}")
-}
 
 /// Split `workers` workers over `processes` processes into contiguous
 /// ranges; process `i` hosts `ranges[i]`. Every process gets at least the
@@ -211,7 +207,7 @@ struct ControlState {
     process_tasks: Mutex<BTreeMap<u32, (u64, u64)>>,
 }
 
-/// The driver's control endpoint: serves GCS/KV, durable-store, sink,
+/// The driver's control endpoint: serves GCS, durable-store, sink,
 /// heartbeat and wire-stat traffic from workerd processes.
 pub struct ControlServer {
     addr: SocketAddr,
@@ -282,30 +278,20 @@ fn serve_connection(mut stream: TcpStream, state: Arc<ControlState>) {
             Ok(Some(payload)) => payload,
             Ok(None) | Err(_) => return,
         };
-        let response = dispatch(&payload, &state);
+        let response = dispatch(&payload, &state).unwrap_or_else(|e| remote::err_frame(&e));
         if remote::write_frame(&mut stream, &response).is_err() {
             return;
         }
     }
 }
 
-/// Handle one control request. KV opcodes go straight to the shared
-/// [`KvStore`]; everything else is served here against the driver's
-/// authoritative services.
-fn dispatch(payload: &[u8], state: &ControlState) -> Vec<u8> {
-    if let Some(response) = remote::apply_kv(payload, state.services.gcs.kv()) {
-        return response;
-    }
-    match try_dispatch(payload, state) {
-        Ok(response) => response,
-        Err(e) => remote::err_frame(&e),
-    }
-}
-
-fn try_dispatch(payload: &[u8], state: &ControlState) -> Result<Vec<u8>> {
+/// Handle one control request against the driver's authoritative services.
+/// A GCS call is answered by the same [`Gcs`] method on the driver's tables.
+fn dispatch(payload: &[u8], state: &ControlState) -> Result<Vec<u8>> {
     let mut r = WireReader::new(payload);
     let op = r.u8()?;
     match op {
+        OP_GCS => state.services.gcs.serve(&mut r),
         OP_DURABLE_GET => {
             let key = r.str()?;
             r.expect_end()?;
@@ -424,7 +410,7 @@ fn try_dispatch(payload: &[u8], state: &ControlState) -> Result<Vec<u8>> {
 // ---------------------------------------------------------------------------
 
 /// Kill one worker process mid-query (the process-level analogue of
-/// [`FailureSpec`](quokka_common::config::FailureSpec)).
+/// [`ChaosPlan::kill_at_progress`](quokka_common::ChaosPlan::kill_at_progress)).
 #[derive(Debug, Clone, Copy)]
 pub struct KillPlan {
     /// Index of the workerd process to SIGKILL.
@@ -462,11 +448,11 @@ pub struct ProcessQuery {
 /// stream back over the control connection and are collected here.
 pub fn run_process_query(query: ProcessQuery) -> Result<QueryOutcome> {
     let config = &query.config;
-    if !config.chaos.is_empty() || !config.failures.is_empty() {
+    if !config.chaos.is_empty() {
         // Chaos triggers count commits made in the driver's process; here
         // every commit happens in a workerd.
         return Err(QuokkaError::Config(
-            "process mode injects faults with KillPlan, not ChaosPlan/FailureSpec".to_string(),
+            "process mode injects faults with KillPlan, not ChaosPlan".to_string(),
         ));
     }
     let cost = CostModel::new(config.cost);
@@ -654,7 +640,7 @@ pub struct WorkerdOpts {
 /// exactly the failure model the driver's detector handles.
 pub fn run_workerd(opts: WorkerdOpts) -> Result<()> {
     let client = Arc::new(ControlClient::connect(opts.driver)?);
-    let gcs = Arc::new(Gcs::with_kv(KvStore::remote(Arc::clone(&client))));
+    let gcs = Arc::new(Gcs::remote(Arc::clone(&client)));
     let durable: Arc<dyn ObjectStore> = Arc::new(RemoteDurable::new(Arc::clone(&client)));
     let metrics = MetricsRegistry::new();
     let cost = CostModel::new(opts.config.cost);
@@ -680,15 +666,12 @@ pub fn run_workerd(opts: WorkerdOpts) -> Result<()> {
 
     // Rendezvous: publish our listener, wait for every peer's, then open a
     // lane per remote worker (and loopback lanes for our own).
-    gcs.kv().put(proc_addr_key(opts.process), transport.local_addr().to_string().into_bytes());
+    gcs.publish_process(opts.process as u32, transport.local_addr());
     let deadline = Instant::now() + RENDEZVOUS_TIMEOUT;
     for (process, range) in opts.ranges.iter().enumerate() {
         let addr = loop {
-            if let Some(bytes) = gcs.kv().get_value(&proc_addr_key(process)) {
-                let text = String::from_utf8_lossy(&bytes).to_string();
-                break text
-                    .parse::<SocketAddr>()
-                    .map_err(|e| QuokkaError::Config(format!("bad peer address {text:?}: {e}")))?;
+            if let Some(addr) = gcs.process_addr(process as u32) {
+                break addr;
             }
             if Instant::now() > deadline {
                 return Err(QuokkaError::Transient(format!(
@@ -811,15 +794,26 @@ pub fn run_workerd(opts: WorkerdOpts) -> Result<()> {
 mod tests {
     use super::*;
     use quokka_batch::{Column, DataType};
+    use quokka_common::ids::ChannelAddr;
+    use quokka_gcs::tables::{
+        ChannelState, LineageRecord, LineageSource, PartitionEntry, ReplayRequest, TaskCommit,
+        TaskEntry,
+    };
     use quokka_plan::logical::PlanBuilder;
 
-    #[test]
-    fn remote_split_reads_ship_exactly_the_in_process_projection() {
-        let schema = Schema::from_pairs(&[
+    /// The schema of the one table every test server serves.
+    fn table_schema() -> Schema {
+        Schema::from_pairs(&[
             ("id", DataType::Int64),
             ("name", DataType::Utf8),
             ("price", DataType::Float64),
-        ]);
+        ])
+    }
+
+    /// A driver's control server for a scan of table `t` in three splits,
+    /// with `gcs` as its GCS tables.
+    fn control_server(gcs: Arc<Gcs>) -> (ControlServer, Arc<DurableObjectStore>) {
+        let schema = table_schema();
         let batch = Batch::try_new(
             schema.clone(),
             vec![
@@ -840,13 +834,18 @@ mod tests {
         let services = Arc::new(Services::new(
             config,
             layout,
-            Arc::new(Gcs::default()),
+            gcs,
             Arc::new(DataPlane::new(2, cost, Arc::clone(&metrics))),
             durable.clone() as Arc<dyn ObjectStore>,
             tx,
             metrics,
         ));
-        let server = ControlServer::bind(services, Arc::clone(&durable)).unwrap();
+        (ControlServer::bind(services, Arc::clone(&durable)).unwrap(), durable)
+    }
+
+    #[test]
+    fn remote_split_reads_ship_exactly_the_in_process_projection() {
+        let (server, durable) = control_server(Arc::new(Gcs::default()));
         let remote = RemoteDurable::new(Arc::new(ControlClient::connect(server.addr()).unwrap()));
 
         let pruned = Schema::from_pairs(&[("price", DataType::Float64), ("name", DataType::Utf8)]);
@@ -857,6 +856,111 @@ mod tests {
             assert_eq!(shipped, local, "split {split} differs from the in-process read");
         }
         assert!(remote.read_split("t", 3, &pruned).is_err(), "no fourth split");
+    }
+
+    /// The GCS calls of a query's life — registration, the rendezvous, a
+    /// commit, each of the three commit aborts, replays, lost partitions
+    /// and the control flags — with every answer, by name, rendered for
+    /// comparison.
+    fn query_calls(gcs: &Gcs) -> BTreeMap<&'static str, String> {
+        let (scan, sink) = (ChannelAddr::new(0, 0), ChannelAddr::new(1, 0));
+        let fresh = ChannelState::new(scan, 0, 0);
+        let mut done = fresh.clone();
+        done.committed_seq = Some(0);
+        let commit = |seq, prev: &ChannelState| TaskCommit {
+            worker: 0,
+            lineage: LineageRecord {
+                task: scan.task(seq),
+                source: LineageSource::InputSplits { splits: vec![0, 1] },
+                finished_inputs: vec![],
+                finalize: false,
+                output_rows: 80,
+                output_bytes: 640,
+            },
+            partition: PartitionEntry {
+                name: scan.task(seq),
+                owner: 0,
+                backed_up: true,
+                spooled: false,
+                bytes: 640,
+            },
+            channel_state: ChannelState { committed_seq: Some(seq), ..prev.clone() },
+            prev_channel: Some(prev.clone()),
+            next_task: Some(TaskEntry { task: scan.task(seq + 1), worker: 0 }),
+        };
+        let replay = ReplayRequest::new(1, scan.task(0), sink);
+        let mut answers = BTreeMap::new();
+        let mut answer = |name, value: &dyn std::fmt::Debug| {
+            answers.insert(name, format!("{value:?}"));
+        };
+
+        gcs.put_channel(&fresh);
+        gcs.put_channel(&ChannelState::new(sink, 1, 1));
+        gcs.put_task(&TaskEntry { task: scan.task(0), worker: 0 });
+        gcs.publish_process(0, "127.0.0.1:7001".parse().unwrap());
+        answer("rendezvous", &(gcs.process_addr(0), gcs.process_addr(1)));
+        answer("channels", &(gcs.get_channel(scan), gcs.get_channel(ChannelAddr::new(9, 9))));
+        answer("tasks", &(gcs.get_task(scan), gcs.get_task(sink)));
+        answer("flags", &(gcs.is_paused(), gcs.is_query_done(), gcs.query_error()));
+        answer("commit", &gcs.commit_task(&commit(0, &fresh), false));
+        answer(
+            "committed",
+            &(gcs.lineage_committed(scan.task(0)), gcs.lineage_committed(scan.task(1))),
+        );
+        answer("records", &(gcs.get_lineage(scan.task(0)), gcs.get_partition(scan.task(0))));
+        answer("after commit", &(gcs.get_task(scan), gcs.all_channels()));
+        answer("stale commit", &gcs.commit_task(&commit(1, &fresh), false));
+        gcs.set_paused(true);
+        answer("paused commit", &gcs.commit_task(&commit(1, &done), false));
+        gcs.set_paused(false);
+        gcs.add_replay(&replay);
+        gcs.add_replay(&ReplayRequest { attempts: 2, ..replay.clone() });
+        answer("replays", &(gcs.replays_for_worker(1), gcs.replays_for_worker(0)));
+        answer("claims", &(gcs.remove_replay(&replay), gcs.remove_replay(&replay)));
+        gcs.mark_partition_lost(scan.task(0));
+        answer("lost", &(gcs.take_lost_partitions(), gcs.take_lost_partitions()));
+        gcs.mark_worker_failed(0);
+        answer("failed", &(gcs.is_worker_failed(0), gcs.is_worker_failed(1)));
+        answer("failed commit", &gcs.commit_task(&commit(1, &done), false));
+        gcs.set_query_error("boom");
+        gcs.set_query_done();
+        answer("end", &(gcs.query_error(), gcs.is_query_done()));
+        answer("counters", &(gcs.transactions(), gcs.lineage_bytes()));
+        answers
+    }
+
+    #[test]
+    fn a_remote_gcs_over_the_control_server_answers_like_the_local_gcs() {
+        let authority = Arc::new(Gcs::default());
+        let (server, _) = control_server(Arc::clone(&authority));
+        let client = Arc::new(ControlClient::connect(server.addr()).unwrap());
+        let remote = Gcs::remote(Arc::clone(&client));
+
+        let local = query_calls(&Gcs::default());
+        assert_eq!(query_calls(&remote), local);
+        assert_eq!(local["commit"], "Ok(())");
+        for (call, why) in [
+            ("stale commit", "reconciled"),
+            ("paused commit", "barrier"),
+            ("failed commit", "failed"),
+        ] {
+            assert!(
+                local[call].contains("TransactionAborted") && local[call].contains(why),
+                "{call}"
+            );
+        }
+        assert_eq!(local["claims"], "(true, false)", "a replay request is claimed once");
+
+        // Truncated or garbage GCS frames get a typed error, and the
+        // connection keeps serving.
+        let mut truncated = vec![OP_GCS, 25];
+        truncated.extend_from_slice(&[0, 0, 0]);
+        for garbage in [&[OP_GCS][..], &[OP_GCS, 200], &truncated] {
+            let err = client.request(garbage).unwrap_err();
+            assert!(matches!(err, QuokkaError::Transient(_)), "{garbage:?}: {err:?}");
+        }
+        assert!(remote.is_query_done());
+        assert_eq!(authority.transactions(), remote.transactions());
     }
 
     #[test]

@@ -223,7 +223,6 @@ fn supervise_inner(
                 // Rerun the whole query on the surviving workers, without
                 // re-injecting the faults that already fired.
                 let survivors = config.cluster.workers.saturating_sub(failed.len() as u32).max(1);
-                config.failures.clear();
                 config.chaos = ChaosPlan::new();
                 config.cluster = ClusterConfig {
                     workers: survivors,
@@ -317,7 +316,7 @@ fn run_attempt(
 mod tests {
     use super::*;
     use quokka_batch::{Column, DataType, Schema};
-    use quokka_common::config::{ExecutionMode, FailureSpec, FaultStrategy, SchedulePolicy};
+    use quokka_common::config::{ExecutionMode, FaultStrategy, SchedulePolicy};
     use quokka_plan::aggregate::{count, sum};
     use quokka_plan::catalog::MemoryCatalog;
     use quokka_plan::expr::{col, lit};
@@ -468,7 +467,7 @@ mod tests {
         let expected = ReferenceExecutor::new(&catalog).execute(&plan).unwrap();
         let config = EngineConfig::quokka(3)
             .with_fault(FaultStrategy::None)
-            .with_failure(FailureSpec::new(2, 0.3));
+            .with_chaos(ChaosPlan::kill_at_progress(2, 0.3));
         let outcome = QueryRunner::new(config).run(&plan, &catalog).unwrap();
         assert!(same_result(&expected, &outcome.batch));
         assert_eq!(outcome.metrics.failures, 1);
@@ -479,7 +478,7 @@ mod tests {
         let catalog = catalog(400);
         let plan = join_plan();
         let expected = ReferenceExecutor::new(&catalog).execute(&plan).unwrap();
-        let config = EngineConfig::sparklike(3).with_failure(FailureSpec::halfway(0));
+        let config = EngineConfig::sparklike(3).with_chaos(ChaosPlan::kill_at_progress(0, 0.5));
         let outcome = QueryRunner::new(config).run(&plan, &catalog).unwrap();
         assert!(same_result(&expected, &outcome.batch));
     }

@@ -540,18 +540,9 @@ impl StageWorker {
         }
 
         let Some(task) = services.gcs.get_task(addr) else {
-            if std::env::var_os("QUOKKA_TRACE").is_some() && state.rewind_until.is_some() {
-                eprintln!("[trace] {} rewinding but has no task entry", addr);
-            }
             return Ok(false);
         };
         if task.worker != self.worker {
-            if std::env::var_os("QUOKKA_TRACE").is_some() && state.rewind_until.is_some() {
-                eprintln!(
-                    "[trace] {} rewinding on worker {} but task {} points at worker {}",
-                    addr, self.worker, task.task, task.worker
-                );
-            }
             return Ok(false);
         }
         let seq = task.task.seq;
@@ -863,9 +854,6 @@ impl StageWorker {
                 // Wait (with backoff) for the coordinator to repair the
                 // destination.
                 services.metrics.add_push_retry();
-                if std::env::var_os("QUOKKA_TRACE").is_some() {
-                    eprintln!("[trace] {} push retry for task {seq}", addr);
-                }
                 publish_backoff.sleep();
                 continue;
             }
@@ -880,22 +868,7 @@ impl StageWorker {
                 break;
             }
             services.metrics.add_push_retry();
-            if std::env::var_os("QUOKKA_TRACE").is_some() {
-                eprintln!("[trace] {} commit abort for task {seq}", addr);
-            }
             publish_backoff.sleep();
-        }
-        if std::env::var_os("QUOKKA_TRACE").is_some() {
-            eprintln!(
-                "[trace] worker={} task={} source={:?} finish={:?} finalize={} rows={} done={}",
-                self.worker,
-                out_name,
-                commit.lineage.source,
-                to_finish,
-                finalize,
-                output_rows,
-                new_state.done
-            );
         }
 
         // ----- post-commit bookkeeping --------------------------------------
@@ -1037,9 +1010,6 @@ impl StageWorker {
             } else {
                 None
             };
-            if std::env::var_os("QUOKKA_TRACE").is_some() {
-                eprintln!("[trace] missing-input {} for {} owner={owner:?}", name, state.addr);
-            }
             if let Some(owner) = owner {
                 services.gcs.add_replay(&ReplayRequest::new(owner, name, state.addr));
                 services.wakeups.thread(owner, self.stage).notify();
@@ -1072,15 +1042,7 @@ impl StageWorker {
                     let name = upstream.task(s);
                     match server.peek(state.addr, name) {
                         Some(batches) => partitions.push((name, batches)),
-                        None => {
-                            if std::env::var_os("QUOKKA_TRACE").is_some() {
-                                eprintln!(
-                                    "[trace] replay {} task {seq} missing input {name}",
-                                    state.addr
-                                );
-                            }
-                            return Ok((TaskInputs::NotReady, vec![], false));
-                        }
+                        None => return Ok((TaskInputs::NotReady, vec![], false)),
                     }
                 }
                 let flat_index = services.layout.watermark_index(self.stage, *upstream)?;

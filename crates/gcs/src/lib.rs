@@ -10,28 +10,23 @@
 //!
 //! This crate provides:
 //!
-//! * [`kv`] — a small in-memory transactional key-value store with versioned
-//!   keys, optimistic compare-and-set preconditions, prefix scans and atomic
-//!   multi-key commits (the Redis `MULTI`/`EXEC` analogue). A configurable
-//!   per-operation latency models the head-node round trip.
-//! * [`remote`] — the process-mode protocol: a pooled TCP client plus the
-//!   opcode/framing vocabulary that lets worker processes run against the
-//!   driver's authoritative store through [`KvStore::remote`], mirroring how
-//!   TaskManagers reach the head-node Redis over the network.
-//! * [`tables`] — typed views over the KV store matching the schema Quokka
-//!   needs: the lineage table (`G.L` in Algorithm 1), the task table
-//!   (`G.T`), the channel registry, the partition directory and the control
-//!   flags used to pause TaskManagers during recovery.
+//! * [`tables`] — the [`Gcs`]: one typed table per key space (lineage,
+//!   tasks, channels, partitions, replays, control flags) behind one lock.
+//!   Algorithm 1's commit checks and applies everything under that lock. A
+//!   configurable per-call latency models the head-node round trip.
+//! * [`remote`] — the process-mode protocol: a pooled TCP client, the
+//!   opcode/framing vocabulary, and the binary record codec with which a
+//!   worker process's [`Gcs::remote`] handle sends each call to the driver's
+//!   tables, mirroring how TaskManagers reach the head-node Redis over the
+//!   network.
 //!
 //! The GCS is assumed not to fail (it lives on the head node, like the
 //! paper's Redis), which is why committing lineage to it counts as
 //! "persistent" in the write-ahead-lineage protocol.
 
-pub mod kv;
 pub mod remote;
 pub mod tables;
 
-pub use kv::{KvStore, Transaction, Version};
 pub use remote::ControlClient;
 pub use tables::{
     ChannelState, Gcs, LineageRecord, LineageSource, PartitionEntry, ReplayRequest, TaskCommit,

@@ -1,30 +1,30 @@
-//! The remote-GCS protocol: multi-process workers talk to the driver's
-//! authoritative [`KvStore`] over TCP.
+//! The control protocol between worker processes and the driver.
 //!
 //! In the paper's deployment the GCS is a Redis instance on the head node
-//! and every TaskManager process talks to it over the network. This module
-//! reproduces that shape for process-mode clusters: the driver process owns
-//! the one real `KvStore`; worker processes construct their `KvStore` with
-//! [`KvStore::remote`], which routes every operation through a pooled TCP
-//! connection as one request/response frame. The typed GCS tables layer
-//! ([`Gcs`](crate::Gcs)) is completely unaware of which backend it runs on.
-//!
-//! Transactions keep their optimistic-concurrency semantics: reads record
-//! the versions they observed client-side, and the commit ships the whole
-//! `(read set, write set, delete set)` to the driver, which validates the
-//! versions and applies the writes atomically ([`KvStore::commit_sets`]) —
-//! the same `WATCH`/`MULTI`/`EXEC` discipline as the local path.
+//! and every TaskManager process talks to it over the network. Process-mode
+//! clusters reproduce that shape: the driver owns the one real
+//! [`Gcs`](crate::Gcs), and each worker process holds a
+//! [`Gcs::remote`](crate::Gcs::remote) handle that sends every call as one
+//! frame over a pooled TCP connection. The driver answers a frame by calling
+//! the same method on its own tables ([`Gcs::serve`](crate::Gcs::serve)), so
+//! the local and the remote GCS share one implementation of every operation,
+//! and a remote [`Gcs::commit_task`](crate::Gcs::commit_task) is one round
+//! trip.
 //!
 //! Framing is the transport's length-prefixed style: `u32` length, then a
 //! payload built with [`quokka_batch::wire`] primitives. The first payload
-//! byte is the opcode. Responses start with a status byte (0 = ok, 1 =
-//! typed error). The opcode space is shared with the engine's control
-//! server (durable-store access, sink forwarding, heartbeats), which
-//! delegates the `OP_KV_*` range to [`apply_kv`] here.
+//! byte is the opcode; a GCS call ([`OP_GCS`]) is followed by its call byte
+//! and its argument in the record codec below (`Encode`, `Decode`).
+//! Responses start with a status byte (0 = ok, 1 = typed error). The opcode
+//! space is shared with the engine's control server, which also serves
+//! durable-store access, sink forwarding and heartbeats.
 
-use crate::kv::KvStore;
-use bytes::Bytes;
+use crate::tables::{
+    ChannelState, LineageRecord, LineageSource, PartitionEntry, ReplayRequest, TaskCommit,
+    TaskEntry,
+};
 use quokka_batch::wire::{self, WireReader};
+use quokka_common::ids::{ChannelAddr, TaskName};
 use quokka_common::{QuokkaError, Result};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -32,16 +32,9 @@ use std::sync::Mutex;
 
 // --- opcodes -------------------------------------------------------------
 
-pub const OP_KV_GET: u8 = 1;
-pub const OP_KV_PUT: u8 = 2;
-pub const OP_KV_DELETE: u8 = 3;
-pub const OP_KV_CONTAINS: u8 = 4;
-pub const OP_KV_SCAN_PREFIX: u8 = 5;
-pub const OP_KV_COUNT_PREFIX: u8 = 6;
-pub const OP_KV_COMMIT: u8 = 7;
-pub const OP_KV_LEN: u8 = 8;
-pub const OP_KV_BYTE_SIZE: u8 = 9;
-pub const OP_KV_CLEAR: u8 = 10;
+/// One call of a [`Gcs`](crate::Gcs) method, answered by
+/// [`Gcs::serve`](crate::Gcs::serve).
+pub const OP_GCS: u8 = 1;
 /// Durable-object-store access (served by the engine's control server).
 pub const OP_DURABLE_GET: u8 = 20;
 pub const OP_DURABLE_PUT: u8 = 21;
@@ -62,7 +55,7 @@ const ERR_ABORTED: u8 = 1;
 const ERR_NOT_FOUND: u8 = 2;
 
 /// Largest accepted control frame (a corruption guard, far above any real
-/// GCS value or table split).
+/// GCS record or table split).
 const MAX_CONTROL_FRAME: u32 = 1 << 30;
 
 // --- framing -------------------------------------------------------------
@@ -74,7 +67,9 @@ pub fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()
 }
 
 /// Read one length-prefixed frame. `Ok(None)` on clean EOF before the
-/// length prefix (the peer closed the connection).
+/// length prefix (the peer closed the connection). Beyond its first 64 KiB
+/// the buffer grows with the bytes that actually arrive, so a garbage
+/// length prefix costs no allocation of its claimed size.
 pub fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
     let mut header = [0u8; 4];
     match stream.read_exact(&mut header) {
@@ -89,8 +84,14 @@ pub fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
             format!("control frame length {len} exceeds limit"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity((len as usize).min(1 << 16));
+    stream.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() != len as usize {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("control frame cut short at {} of {len} bytes", payload.len()),
+        ));
+    }
     Ok(Some(payload))
 }
 
@@ -101,16 +102,17 @@ pub fn ok_frame(build: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     out
 }
 
-/// Build an error response carrying a typed error.
+/// Build an error response carrying a typed error. Aborts and misses keep
+/// their message, so they read the same on both sides of the socket.
 pub fn err_frame(error: &QuokkaError) -> Vec<u8> {
     let mut out = vec![1u8];
-    let kind = match error {
-        QuokkaError::TransactionAborted(_) => ERR_ABORTED,
-        QuokkaError::NotFound(_) => ERR_NOT_FOUND,
-        _ => ERR_GENERIC,
+    let (kind, message) = match error {
+        QuokkaError::TransactionAborted(message) => (ERR_ABORTED, message.clone()),
+        QuokkaError::NotFound(message) => (ERR_NOT_FOUND, message.clone()),
+        other => (ERR_GENERIC, other.to_string()),
     };
     wire::put_u8(&mut out, kind);
-    wire::put_str(&mut out, &error.to_string());
+    wire::put_str(&mut out, &message);
     out
 }
 
@@ -127,10 +129,10 @@ fn decode_response(resp: Vec<u8>) -> Result<Vec<u8>> {
             Err(match kind {
                 ERR_ABORTED => QuokkaError::TransactionAborted(message),
                 ERR_NOT_FOUND => QuokkaError::NotFound(message),
-                _ => QuokkaError::Transient(format!("gcs rpc: {message}")),
+                _ => QuokkaError::Transient(format!("control rpc: {message}")),
             })
         }
-        other => Err(QuokkaError::Transient(format!("gcs rpc: bad status byte {other}"))),
+        other => Err(QuokkaError::Transient(format!("control rpc: bad status byte {other}"))),
     }
 }
 
@@ -191,206 +193,237 @@ impl ControlClient {
     }
 }
 
-// --- remote KvStore operations (client side) -----------------------------
-
-pub(crate) fn remote_get(c: &ControlClient, key: &str) -> Result<Option<(Bytes, u64)>> {
-    let mut req = vec![OP_KV_GET];
-    wire::put_str(&mut req, key);
-    let resp = c.request(&req)?;
+/// Send one GCS call — its call byte and argument — and decode the answer.
+pub(crate) fn call<A: Encode + ?Sized, R: Decode>(
+    client: &ControlClient,
+    call: u8,
+    arg: &A,
+) -> Result<R> {
+    let mut req = vec![OP_GCS, call];
+    arg.put(&mut req);
+    let resp = client.request(&req)?;
     let mut r = WireReader::new(&resp);
-    if r.u8()? == 0 {
-        return Ok(None);
+    let answer = R::get(&mut r)?;
+    r.expect_end()?;
+    Ok(answer)
+}
+
+// --- the record codec ----------------------------------------------------
+
+/// A value a GCS control frame carries, written with the [`wire`]
+/// primitives.
+pub(crate) trait Encode {
+    fn put(&self, out: &mut Vec<u8>);
+
+    /// Bytes of this value's encoding.
+    fn encoded_len(&self) -> u64 {
+        let mut out = Vec::new();
+        self.put(&mut out);
+        out.len() as u64
     }
-    let value = Bytes::from(r.bytes()?.to_vec());
-    let version = r.u64()?;
-    Ok(Some((value, version)))
 }
 
-pub(crate) fn remote_put(c: &ControlClient, key: &str, value: &[u8]) -> Result<()> {
-    let mut req = vec![OP_KV_PUT];
-    wire::put_str(&mut req, key);
-    wire::put_bytes(&mut req, value);
-    c.request(&req).map(|_| ())
+/// A value read back from a GCS control frame. Truncation and garbage are
+/// typed errors, and no allocation is sized from an unchecked count.
+pub(crate) trait Decode: Sized {
+    fn get(r: &mut WireReader<'_>) -> Result<Self>;
 }
 
-pub(crate) fn remote_delete(c: &ControlClient, key: &str) -> Result<bool> {
-    let mut req = vec![OP_KV_DELETE];
-    wire::put_str(&mut req, key);
-    let resp = c.request(&req)?;
-    Ok(WireReader::new(&resp).u8()? == 1)
-}
-
-pub(crate) fn remote_contains(c: &ControlClient, key: &str) -> Result<bool> {
-    let mut req = vec![OP_KV_CONTAINS];
-    wire::put_str(&mut req, key);
-    let resp = c.request(&req)?;
-    Ok(WireReader::new(&resp).u8()? == 1)
-}
-
-pub(crate) fn remote_scan_prefix(c: &ControlClient, prefix: &str) -> Result<Vec<(String, Bytes)>> {
-    let mut req = vec![OP_KV_SCAN_PREFIX];
-    wire::put_str(&mut req, prefix);
-    let resp = c.request(&req)?;
-    let mut r = WireReader::new(&resp);
-    let count = r.u32()? as usize;
-    let mut rows = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        let key = r.str()?.to_string();
-        let value = Bytes::from(r.bytes()?.to_vec());
-        rows.push((key, value));
+impl<T: Encode + ?Sized> Encode for &T {
+    fn put(&self, out: &mut Vec<u8>) {
+        (**self).put(out)
     }
-    Ok(rows)
 }
 
-pub(crate) fn remote_count_prefix(c: &ControlClient, prefix: &str) -> Result<usize> {
-    let mut req = vec![OP_KV_COUNT_PREFIX];
-    wire::put_str(&mut req, prefix);
-    let resp = c.request(&req)?;
-    Ok(WireReader::new(&resp).u64()? as usize)
-}
-
-pub(crate) fn remote_commit(
-    c: &ControlClient,
-    read_set: &[(String, u64)],
-    write_set: &[(String, Bytes)],
-    delete_set: &[String],
-) -> Result<()> {
-    let mut req = vec![OP_KV_COMMIT];
-    wire::put_u32(&mut req, read_set.len() as u32);
-    for (key, version) in read_set {
-        wire::put_str(&mut req, key);
-        wire::put_u64(&mut req, *version);
-    }
-    wire::put_u32(&mut req, write_set.len() as u32);
-    for (key, value) in write_set {
-        wire::put_str(&mut req, key);
-        wire::put_bytes(&mut req, value);
-    }
-    wire::put_u32(&mut req, delete_set.len() as u32);
-    for key in delete_set {
-        wire::put_str(&mut req, key);
-    }
-    c.request(&req).map(|_| ())
-}
-
-pub(crate) fn remote_u64(c: &ControlClient, op: u8) -> Result<u64> {
-    let resp = c.request(&[op])?;
-    WireReader::new(&resp).u64()
-}
-
-pub(crate) fn remote_clear(c: &ControlClient) -> Result<()> {
-    c.request(&[OP_KV_CLEAR]).map(|_| ())
-}
-
-// --- server-side dispatch ------------------------------------------------
-
-/// Apply one `OP_KV_*` request against the authoritative local store and
-/// return the response frame. Opcodes outside the KV range return `None`
-/// so the caller (the engine's control server) can handle them.
-pub fn apply_kv(payload: &[u8], kv: &KvStore) -> Option<Vec<u8>> {
-    let mut r = WireReader::new(payload);
-    let op = r.u8().ok()?;
-    let result: Result<Vec<u8>> = (|| match op {
-        OP_KV_GET => {
-            let key = r.str()?;
-            Ok(ok_frame(|out| match kv.get(&key) {
-                Some((value, version)) => {
-                    wire::put_u8(out, 1);
-                    wire::put_bytes(out, &value);
-                    wire::put_u64(out, version);
-                }
-                None => wire::put_u8(out, 0),
-            }))
-        }
-        OP_KV_PUT => {
-            let key = r.str()?;
-            let value = r.bytes()?.to_vec();
-            kv.put(key, Bytes::from(value));
-            Ok(ok_frame(|_| {}))
-        }
-        OP_KV_DELETE => {
-            let key = r.str()?;
-            let removed = kv.delete(&key);
-            Ok(ok_frame(|out| wire::put_u8(out, removed as u8)))
-        }
-        OP_KV_CONTAINS => {
-            let key = r.str()?;
-            let present = kv.contains(&key);
-            Ok(ok_frame(|out| wire::put_u8(out, present as u8)))
-        }
-        OP_KV_SCAN_PREFIX => {
-            let prefix = r.str()?;
-            let rows = kv.scan_prefix(&prefix);
-            Ok(ok_frame(|out| {
-                wire::put_u32(out, rows.len() as u32);
-                for (key, value) in rows {
-                    wire::put_str(out, &key);
-                    wire::put_bytes(out, &value);
-                }
-            }))
-        }
-        OP_KV_COUNT_PREFIX => {
-            let prefix = r.str()?;
-            let count = kv.count_prefix(&prefix) as u64;
-            Ok(ok_frame(|out| wire::put_u64(out, count)))
-        }
-        OP_KV_COMMIT => {
-            let reads = r.u32()? as usize;
-            let mut read_set = Vec::with_capacity(reads.min(1024));
-            for _ in 0..reads {
-                let key = r.str()?.to_string();
-                let version = r.u64()?;
-                read_set.push((key, version));
+macro_rules! primitive {
+    ($ty:ty, $put:ident, $get:ident) => {
+        impl Encode for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                wire::$put(out, *self)
             }
-            let writes = r.u32()? as usize;
-            let mut write_set = Vec::with_capacity(writes.min(1024));
-            for _ in 0..writes {
-                let key = r.str()?.to_string();
-                let value = r.bytes()?.to_vec();
-                write_set.push((key, Bytes::from(value)));
-            }
-            let deletes = r.u32()? as usize;
-            let mut delete_set = Vec::with_capacity(deletes.min(1024));
-            for _ in 0..deletes {
-                delete_set.push(r.str()?.to_string());
-            }
-            kv.commit_sets(read_set, write_set, delete_set)?;
-            Ok(ok_frame(|_| {}))
         }
-        OP_KV_LEN => Ok(ok_frame(|out| wire::put_u64(out, kv.len() as u64))),
-        OP_KV_BYTE_SIZE => Ok(ok_frame(|out| wire::put_u64(out, kv.byte_size() as u64))),
-        OP_KV_CLEAR => {
-            kv.clear();
-            Ok(ok_frame(|_| {}))
+        impl Decode for $ty {
+            fn get(r: &mut WireReader<'_>) -> Result<Self> {
+                r.$get()
+            }
         }
-        _ => Err(QuokkaError::Internal(format!("not a kv opcode: {op}"))),
-    })();
-    match op {
-        OP_KV_GET..=OP_KV_CLEAR => Some(result.unwrap_or_else(|e| err_frame(&e))),
-        _ => None,
+    };
+}
+primitive!(bool, put_bool, bool);
+primitive!(u32, put_u32, u32);
+primitive!(u64, put_u64, u64);
+
+impl Encode for () {
+    fn put(&self, _: &mut Vec<u8>) {}
+}
+impl Decode for () {
+    fn get(_: &mut WireReader<'_>) -> Result<Self> {
+        Ok(())
+    }
+}
+
+impl Encode for str {
+    fn put(&self, out: &mut Vec<u8>) {
+        wire::put_str(out, self)
+    }
+}
+impl Encode for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        wire::put_str(out, self)
+    }
+}
+impl Decode for String {
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        r.str()
+    }
+}
+
+impl Encode for SocketAddr {
+    fn put(&self, out: &mut Vec<u8>) {
+        wire::put_str(out, &self.to_string())
+    }
+}
+impl Decode for SocketAddr {
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        let text = r.str()?;
+        text.parse().map_err(|e| QuokkaError::Storage(format!("bad socket address {text:?}: {e}")))
+    }
+}
+
+impl<T: Encode> Encode for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        wire::put_bool(out, self.is_some());
+        if let Some(value) = self {
+            value.put(out);
+        }
+    }
+}
+impl<T: Decode> Decode for Option<T> {
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok(if r.bool()? { Some(T::get(r)?) } else { None })
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        wire::put_u32(out, self.len() as u32);
+        self.iter().for_each(|item| item.put(out));
+    }
+}
+impl<T: Decode> Decode for Vec<T> {
+    /// Collecting grows the vector item by item, so a garbage count fails
+    /// on the truncation it causes instead of sizing an allocation.
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        let count = r.u32()?;
+        (0..count).map(|_| T::get(r)).collect()
+    }
+}
+
+impl<A: Encode, B: Encode> Encode for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+}
+impl<A: Decode, B: Decode> Decode for (A, B) {
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// Encode a struct as its fields in the listed order; decoding fails to
+/// compile if a field is left out.
+macro_rules! record {
+    ($ty:ident { $($field:ident),* }) => {
+        impl Encode for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+        }
+        impl Decode for $ty {
+            fn get(r: &mut WireReader<'_>) -> Result<Self> {
+                Ok($ty { $($field: Decode::get(r)?),* })
+            }
+        }
+    };
+}
+record!(ChannelAddr { stage, channel });
+record!(TaskName { stage, channel, seq });
+record!(LineageRecord { task, source, finished_inputs, finalize, output_rows, output_bytes });
+record!(ChannelState {
+    addr,
+    worker,
+    committed_seq,
+    consumed,
+    splits_consumed,
+    done,
+    rewind_until
+});
+record!(TaskEntry { task, worker });
+record!(PartitionEntry { name, owner, backed_up, spooled, bytes });
+record!(ReplayRequest { owner, partition, consumer, attempts });
+record!(TaskCommit { worker, lineage, partition, channel_state, prev_channel, next_task });
+
+const SOURCE_UPSTREAM: u8 = 0;
+const SOURCE_SPLITS: u8 = 1;
+const SOURCE_FINALIZE: u8 = 2;
+
+impl Encode for LineageSource {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            LineageSource::Upstream { upstream, start_seq, count } => {
+                wire::put_u8(out, SOURCE_UPSTREAM);
+                (upstream, (*start_seq, *count)).put(out);
+            }
+            LineageSource::InputSplits { splits } => {
+                wire::put_u8(out, SOURCE_SPLITS);
+                splits.put(out);
+            }
+            LineageSource::Finalize => wire::put_u8(out, SOURCE_FINALIZE),
+        }
+    }
+}
+impl Decode for LineageSource {
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok(match r.u8()? {
+            SOURCE_UPSTREAM => {
+                let (upstream, (start_seq, count)) = Decode::get(r)?;
+                LineageSource::Upstream { upstream, start_seq, count }
+            }
+            SOURCE_SPLITS => LineageSource::InputSplits { splits: Decode::get(r)? },
+            SOURCE_FINALIZE => LineageSource::Finalize,
+            other => return Err(QuokkaError::Storage(format!("unknown lineage source {other}"))),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tables::call;
+    use crate::Gcs;
     use std::net::TcpListener;
     use std::sync::Arc;
 
-    /// A minimal driver: accept connections, answer `OP_KV_*` frames against
-    /// one authoritative local store. This is the same dispatch the engine's
-    /// control server uses.
-    fn spawn_server(kv: Arc<KvStore>) -> SocketAddr {
+    /// A minimal driver: accept connections and answer each frame with
+    /// [`Gcs::serve`] on one authoritative GCS, the call the engine's
+    /// control server hands `OP_GCS` frames to.
+    fn spawn_server(gcs: Arc<Gcs>) -> SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         std::thread::spawn(move || {
             for conn in listener.incoming() {
                 let Ok(mut conn) = conn else { break };
-                let kv = Arc::clone(&kv);
+                let _ = conn.set_nodelay(true);
+                let gcs = Arc::clone(&gcs);
                 std::thread::spawn(move || {
                     while let Ok(Some(req)) = read_frame(&mut conn) {
-                        let resp = apply_kv(&req, &kv)
-                            .unwrap_or_else(|| err_frame(&QuokkaError::Internal("bad op".into())));
+                        let mut r = WireReader::new(&req);
+                        let resp = match r.u8() {
+                            Ok(OP_GCS) => gcs.serve(&mut r),
+                            _ => Err(QuokkaError::Internal("not a GCS frame".into())),
+                        };
+                        let resp = resp.unwrap_or_else(|e| err_frame(&e));
                         if write_frame(&mut conn, &resp).is_err() {
                             break;
                         }
@@ -401,111 +434,175 @@ mod tests {
         addr
     }
 
+    fn remote_to(authority: &Arc<Gcs>) -> Gcs {
+        let addr = spawn_server(Arc::clone(authority));
+        Gcs::remote(Arc::new(ControlClient::connect(addr).expect("connect")))
+    }
+
+    fn commit_of(channel: ChannelAddr, prev: Option<ChannelState>) -> TaskCommit {
+        let seq = prev.as_ref().map_or(0, ChannelState::next_seq);
+        let mut state = ChannelState::new(channel, 0, 1);
+        state.committed_seq = Some(seq);
+        TaskCommit {
+            worker: 0,
+            lineage: LineageRecord {
+                task: channel.task(seq),
+                source: LineageSource::Finalize,
+                finished_inputs: vec![],
+                finalize: false,
+                output_rows: 1,
+                output_bytes: 8,
+            },
+            partition: PartitionEntry {
+                name: channel.task(seq),
+                owner: 0,
+                backed_up: true,
+                spooled: false,
+                bytes: 8,
+            },
+            channel_state: state,
+            prev_channel: prev,
+            next_task: Some(TaskEntry { task: channel.task(seq + 1), worker: 0 }),
+        }
+    }
+
     #[test]
     fn remote_store_mirrors_local_semantics() {
-        let authority = Arc::new(KvStore::default());
-        let addr = spawn_server(Arc::clone(&authority));
-        let client = Arc::new(ControlClient::connect(addr).expect("connect"));
-        let kv = KvStore::remote(client);
-        assert!(kv.is_remote());
+        let authority = Arc::new(Gcs::default());
+        let gcs = remote_to(&authority);
+        let channel = ChannelAddr::new(1, 0);
+        let replay = ReplayRequest::new(2, channel.task(0), ChannelAddr::new(2, 1));
 
-        // Point ops round-trip and are visible on the authority.
-        kv.put("a", Bytes::from_static(b"1"));
-        kv.put("lineage/1", Bytes::from_static(b"x"));
-        kv.put("lineage/2", Bytes::from_static(b"y"));
-        assert_eq!(kv.get_value("a").unwrap(), Bytes::from_static(b"1"));
-        assert_eq!(authority.get_value("a").unwrap(), Bytes::from_static(b"1"));
-        assert!(kv.contains("a"));
-        assert!(!kv.contains("missing"));
-        assert_eq!(kv.count_prefix("lineage/"), 2);
-        let rows = kv.scan_prefix("lineage/");
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, "lineage/1");
-        assert_eq!(kv.len(), 3);
-        assert_eq!(kv.byte_size(), authority.byte_size());
-        assert!(kv.delete("a"));
-        assert!(!kv.delete("a"));
-
-        // Versions travel with reads.
-        let (_, v1) = kv.get("lineage/1").unwrap();
-        kv.put("lineage/1", Bytes::from_static(b"x2"));
-        let (_, v2) = kv.get("lineage/1").unwrap();
-        assert!(v2 > v1);
-
-        kv.clear();
-        assert!(authority.is_empty());
-        assert!(kv.is_empty());
+        // Writes through the remote handle land in the driver's tables and
+        // read back identically through either handle.
+        gcs.put_channel(&ChannelState::new(channel, 0, 1));
+        gcs.put_task(&TaskEntry { task: channel.task(0), worker: 0 });
+        gcs.commit_task(&commit_of(channel, None), false).unwrap();
+        gcs.add_replay(&replay);
+        gcs.mark_partition_lost(channel.task(0));
+        gcs.set_query_error("boom");
+        for handle in [&gcs, &*authority] {
+            assert_eq!(handle.get_channel(channel).unwrap().committed_seq, Some(0));
+            assert_eq!(handle.get_task(channel).unwrap().task, channel.task(1));
+            assert!(handle.lineage_committed(channel.task(0)));
+            assert_eq!(handle.get_partition(channel.task(0)).unwrap().bytes, 8);
+            assert_eq!(handle.replays_for_worker(2), vec![replay.clone()]);
+            assert_eq!(handle.query_error().as_deref(), Some("boom"));
+            assert_eq!(handle.all_channels().len(), 1);
+        }
+        assert_eq!(gcs.transactions(), authority.transactions());
+        assert_eq!(gcs.lineage_bytes(), authority.lineage_bytes());
+        assert_eq!(gcs.take_lost_partitions(), vec![channel.task(0)]);
+        assert!(authority.take_lost_partitions().is_empty());
     }
 
     #[test]
     fn remote_transactions_validate_versions_on_the_driver() {
-        let authority = Arc::new(KvStore::default());
-        let addr = spawn_server(Arc::clone(&authority));
-        let client = Arc::new(ControlClient::connect(addr).expect("connect"));
-        let kv = KvStore::remote(client);
+        let authority = Arc::new(Gcs::default());
+        let gcs = remote_to(&authority);
+        let channel = ChannelAddr::new(1, 0);
+        authority.put_channel(&ChannelState::new(channel, 0, 1));
+        let first = commit_of(channel, Some(ChannelState::new(channel, 0, 1)));
+        gcs.commit_task(&first, false).expect("commit");
+        let before = authority.transactions();
 
-        authority.put("counter", Bytes::from_static(b"0"));
+        // Each abort travels back as a typed error and writes nothing.
+        let stale = commit_of(channel, Some(ChannelState::new(channel, 0, 1)));
+        let aborted = |result: Result<()>| {
+            assert!(matches!(result, Err(QuokkaError::TransactionAborted(_))), "{result:?}")
+        };
+        aborted(gcs.commit_task(&stale, false));
+        let next = commit_of(channel, Some(first.channel_state.clone()));
+        authority.set_paused(true);
+        aborted(gcs.commit_task(&next, false));
+        authority.set_paused(false);
+        authority.mark_worker_failed(0);
+        aborted(gcs.commit_task(&next, false));
+        assert_eq!(authority.transactions(), before + 3, "only the barrier and mark counted");
+        assert!(!authority.lineage_committed(channel.task(1)));
 
-        // A clean commit applies the write set atomically on the driver.
-        kv.with_transaction(0, |txn| {
-            let _ = txn.get("counter");
-            txn.put("counter", Bytes::from_static(b"1"));
-            txn.put("extra", Bytes::from_static(b"e"));
-            Ok(())
-        })
-        .expect("commit");
-        assert_eq!(authority.get_value("counter").unwrap(), Bytes::from_static(b"1"));
-        assert_eq!(authority.get_value("extra").unwrap(), Bytes::from_static(b"e"));
-
-        // A conflicting write on the authority aborts the proxy's commit.
-        let mut txn = kv.begin();
-        let _ = txn.get("counter");
-        authority.put("counter", Bytes::from_static(b"9"));
-        txn.put("counter", Bytes::from_static(b"2"));
-        let err = txn.commit().unwrap_err();
-        assert!(matches!(err, QuokkaError::TransactionAborted(_)));
-        assert_eq!(authority.get_value("counter").unwrap(), Bytes::from_static(b"9"));
-
-        // Deletes ride in the same commit.
-        kv.with_transaction(4, |txn| {
-            let _ = txn.get("counter");
-            txn.delete("extra");
-            Ok(())
-        })
-        .expect("commit with delete");
-        assert!(!authority.contains("extra"));
+        // A replay request is claimed exactly once.
+        let replay = ReplayRequest::new(0, channel.task(0), ChannelAddr::new(2, 0));
+        authority.add_replay(&replay);
+        assert!(gcs.remove_replay(&replay));
+        assert!(!gcs.remove_replay(&replay));
+        assert!(!authority.remove_replay(&replay));
     }
 
     #[test]
     fn concurrent_remote_writers_serialize_through_commits() {
-        let authority = Arc::new(KvStore::default());
+        let authority = Arc::new(Gcs::default());
         let addr = spawn_server(Arc::clone(&authority));
-        authority.put("n", Bytes::from_static(b"0"));
-        // 4 proxy stores (one per simulated worker process) increment a
-        // shared counter with CAS semantics; every increment must land.
+        let channel = ChannelAddr::new(1, 0);
+        authority.put_channel(&ChannelState::new(channel, 0, 1));
+        // 4 remote handles (one per simulated worker process) race to
+        // advance one channel, each commit a compare-and-swap on the state
+        // it read; every one of the 100 commits lands exactly once.
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 let client = Arc::new(ControlClient::connect(addr).expect("connect"));
                 std::thread::spawn(move || {
-                    let kv = KvStore::remote(client);
-                    for _ in 0..25 {
-                        kv.with_transaction(1000, |txn| {
-                            let current = txn.get("n").unwrap();
-                            let value: u64 =
-                                std::str::from_utf8(&current).unwrap().parse().unwrap();
-                            txn.put("n", Bytes::from((value + 1).to_string()));
-                            Ok(())
-                        })
-                        .unwrap();
+                    let gcs = Gcs::remote(client);
+                    let mut aborts = 0;
+                    let mut landed = 0;
+                    while landed < 25 {
+                        let seen = gcs.get_channel(channel).unwrap();
+                        match gcs.commit_task(&commit_of(channel, Some(seen)), false) {
+                            Ok(()) => landed += 1,
+                            Err(QuokkaError::TransactionAborted(_)) => aborts += 1,
+                            Err(e) => panic!("{e}"),
+                        }
                     }
+                    aborts
                 })
             })
             .collect();
-        for t in threads {
-            t.join().unwrap();
+        let aborts: u64 = threads.into_iter().map(|t| t.join().unwrap()).sum();
+        assert_eq!(authority.get_channel(channel).unwrap().committed_seq, Some(99));
+        assert!((0..100).all(|seq| authority.lineage_committed(channel.task(seq))));
+        assert_eq!(authority.transactions(), 1 + 100, "aborts count nothing ({aborts} of them)");
+    }
+
+    #[test]
+    fn truncated_or_garbage_frames_get_typed_errors() {
+        let gcs = Gcs::default();
+        let channel = ChannelAddr::new(1, 0);
+        // Every strict prefix of a valid call is rejected without effect.
+        let mut frame = vec![call::COMMIT_TASK];
+        (&commit_of(channel, None), false).put(&mut frame);
+        for cut in 0..frame.len() {
+            let result = gcs.serve(&mut WireReader::new(&frame[..cut]));
+            assert!(matches!(result, Err(QuokkaError::Storage(_))), "prefix {cut}: {result:?}");
         }
-        let total: u64 =
-            std::str::from_utf8(&authority.get_value("n").unwrap()).unwrap().parse().unwrap();
-        assert_eq!(total, 100);
+        // So are trailing bytes, an unknown call, and a list whose count
+        // claims four billion entries.
+        let mut long = frame.clone();
+        long.push(0);
+        let mut huge = vec![call::PUT_LINEAGE];
+        channel.task(0).put(&mut huge);
+        huge.push(SOURCE_FINALIZE);
+        huge.extend_from_slice(&u32::MAX.to_be_bytes());
+        for garbage in [&long[..], &[200], &huge] {
+            let result = gcs.serve(&mut WireReader::new(garbage));
+            assert!(matches!(result, Err(QuokkaError::Storage(_))), "{garbage:?}: {result:?}");
+        }
+        assert!(!gcs.lineage_committed(channel.task(0)));
+        assert_eq!(gcs.transactions(), 0);
+        // The valid frame still applies.
+        assert_eq!(gcs.serve(&mut WireReader::new(&frame)).unwrap(), ok_frame(|_| {}));
+        assert!(gcs.lineage_committed(channel.task(0)));
+    }
+
+    #[test]
+    fn a_frame_shorter_than_its_length_prefix_is_an_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        // Claims a 1 GiB frame, delivers four bytes, hangs up.
+        client.write_all(&MAX_CONTROL_FRAME.to_be_bytes()).unwrap();
+        client.write_all(b"oops").unwrap();
+        drop(client);
+        let err = read_frame(&mut server).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 }

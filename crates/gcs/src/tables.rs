@@ -1,29 +1,41 @@
-//! Typed views over the GCS key space.
+//! The GCS: typed tables under one lock.
 //!
 //! The paper's GCS (§IV-B) is "the single source of truth for the execution
-//! state of the entire system". The key spaces used here mirror what the
-//! paper describes:
+//! state of the entire system". [`Gcs`] keeps each of its key spaces as a
+//! typed map, and all of them sit behind one mutex:
 //!
-//! | prefix       | contents                                                        |
-//! |--------------|-----------------------------------------------------------------|
-//! | `lineage/`   | committed lineage records, `G.L` in Algorithms 1 and 2           |
-//! | `task/`      | outstanding tasks (one per channel), `G.T`                        |
-//! | `chan/`      | channel registry: worker placement, watermarks, completion       |
-//! | `part/`      | partition directory: which outputs exist on which machines       |
-//! | `replay/`    | replay requests created by the recovery coordinator               |
-//! | `ctrl/`      | control flags: pause barrier, failed workers, query completion    |
+//! | table        | key                              | contents                                                   |
+//! |--------------|----------------------------------|------------------------------------------------------------|
+//! | lineage      | [`TaskName`]                     | committed lineage records, `G.L` in Algorithms 1 and 2      |
+//! | tasks        | [`ChannelAddr`]                  | outstanding tasks (one per channel), `G.T`                   |
+//! | channels     | [`ChannelAddr`]                  | channel registry: worker placement, watermarks, completion  |
+//! | partitions   | [`TaskName`]                     | partition directory: which outputs exist on which machines  |
+//! | replays      | `(owner, partition, consumer)`   | replay requests created by the recovery coordinator          |
+//! | lost         | [`TaskName`]                     | committed partitions whose backing bytes proved unreadable  |
+//! | flags        | —                                | pause barrier, failed workers, query completion and error   |
 //!
-//! Values are encoded as compact ASCII strings (the store is Redis-like, and
-//! keeping the encoding printable makes the GCS easy to dump when debugging
-//! a recovery). The encoded size of the lineage records is what the
-//! `lineage_bytes` metric measures — the paper's point is that this stays in
-//! the KB range for an entire query.
+//! Every call takes the lock once. [`Gcs::commit_task`], the single
+//! transaction of Algorithm 1, checks its three abort conditions and applies
+//! all of its writes under that one lock.
+//!
+//! [`Gcs::transactions`] counts committed writes: every call that writes
+//! counts one, a removal counts one per entry it removes (so removing an
+//! absent entry counts none), and an aborted commit counts none. The
+//! process-mode chaos arm fires on this count.
+//!
+//! A worker process holds a [`Gcs::remote`] handle instead of tables: each
+//! call travels as one control frame to the driver, which answers it by
+//! calling the same method on its own tables ([`Gcs::serve`]). The record
+//! codec that frame uses lives in [`remote`].
 
-use crate::kv::KvStore;
-use bytes::Bytes;
+use crate::remote::{self, ControlClient, Decode, Encode};
+use parking_lot::Mutex;
+use quokka_batch::wire::WireReader;
 use quokka_common::ids::{ChannelAddr, SeqNo, TaskName, WorkerId};
 use quokka_common::{QuokkaError, Result};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, BTreeSet};
+use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What a task consumed — the lineage proper (§III-A).
@@ -61,87 +73,6 @@ pub struct LineageRecord {
     pub output_rows: u64,
     /// Encoded bytes of the task's output partition (diagnostics only).
     pub output_bytes: u64,
-}
-
-impl LineageRecord {
-    fn encode(&self) -> String {
-        let src = match &self.source {
-            LineageSource::Upstream { upstream, start_seq, count } => {
-                format!("U {} {} {} {}", upstream.stage, upstream.channel, start_seq, count)
-            }
-            LineageSource::InputSplits { splits } => {
-                let list: Vec<String> = splits.iter().map(u64::to_string).collect();
-                format!("I {}", list.join(","))
-            }
-            LineageSource::Finalize => "F".to_string(),
-        };
-        let finished: Vec<String> = self.finished_inputs.iter().map(u32::to_string).collect();
-        format!(
-            "{};{};{};{};{}",
-            src,
-            finished.join(","),
-            self.finalize as u8,
-            self.output_rows,
-            self.output_bytes
-        )
-    }
-
-    fn decode(task: TaskName, data: &str) -> Result<Self> {
-        let parts: Vec<&str> = data.split(';').collect();
-        if parts.len() != 5 {
-            return Err(QuokkaError::Storage(format!("malformed lineage record: {data}")));
-        }
-        let src_tokens: Vec<&str> = parts[0].split(' ').collect();
-        let source = match src_tokens[0] {
-            "U" => {
-                if src_tokens.len() != 5 {
-                    return Err(QuokkaError::Storage(format!("malformed lineage source: {data}")));
-                }
-                LineageSource::Upstream {
-                    upstream: ChannelAddr::new(parse(src_tokens[1])?, parse(src_tokens[2])?),
-                    start_seq: parse(src_tokens[3])?,
-                    count: parse(src_tokens[4])?,
-                }
-            }
-            "I" => {
-                let splits = if src_tokens.len() < 2 || src_tokens[1].is_empty() {
-                    Vec::new()
-                } else {
-                    src_tokens[1]
-                        .split(',')
-                        .map(|s| s.parse::<u64>().map_err(|_| bad_num(s)))
-                        .collect::<Result<Vec<u64>>>()?
-                };
-                LineageSource::InputSplits { splits }
-            }
-            "F" => LineageSource::Finalize,
-            other => return Err(QuokkaError::Storage(format!("unknown lineage tag {other}"))),
-        };
-        let finished_inputs: Vec<u32> = if parts[1].is_empty() {
-            Vec::new()
-        } else {
-            parts[1]
-                .split(',')
-                .map(|s| s.parse::<u32>().map_err(|_| bad_num(s)))
-                .collect::<Result<_>>()?
-        };
-        Ok(LineageRecord {
-            task,
-            source,
-            finished_inputs,
-            finalize: parts[2] == "1",
-            output_rows: parts[3].parse().map_err(|_| bad_num(parts[3]))?,
-            output_bytes: parts[4].parse().map_err(|_| bad_num(parts[4]))?,
-        })
-    }
-}
-
-fn bad_num(s: &str) -> QuokkaError {
-    QuokkaError::Storage(format!("malformed number '{s}' in GCS record"))
-}
-
-fn parse<T: std::str::FromStr>(s: &str) -> Result<T> {
-    s.parse::<T>().map_err(|_| bad_num(s))
 }
 
 /// Registry entry for one channel.
@@ -192,46 +123,6 @@ impl ChannelState {
     pub fn outputs_produced(&self) -> u32 {
         self.committed_seq.map(|s| s + 1).unwrap_or(0)
     }
-
-    fn encode(&self) -> String {
-        let consumed: Vec<String> = self.consumed.iter().map(u32::to_string).collect();
-        format!(
-            "{} {} {} {} {} {} {}",
-            self.worker,
-            self.committed_seq.map(|s| s as i64).unwrap_or(-1),
-            consumed.join(","),
-            self.splits_consumed,
-            self.done as u8,
-            self.rewind_until.map(|s| s as i64).unwrap_or(-1),
-            self.consumed.len(),
-        )
-    }
-
-    fn decode(addr: ChannelAddr, data: &str) -> Result<Self> {
-        let t: Vec<&str> = data.split(' ').collect();
-        if t.len() != 7 {
-            return Err(QuokkaError::Storage(format!("malformed channel state: {data}")));
-        }
-        let committed: i64 = parse(t[1])?;
-        let upstreams: usize = parse(t[6])?;
-        let consumed: Vec<u32> = if upstreams == 0 || t[2].is_empty() {
-            vec![0; upstreams]
-        } else {
-            t[2].split(',')
-                .map(|s| s.parse::<u32>().map_err(|_| bad_num(s)))
-                .collect::<Result<_>>()?
-        };
-        let rewind: i64 = parse(t[5])?;
-        Ok(ChannelState {
-            addr,
-            worker: parse(t[0])?,
-            committed_seq: if committed < 0 { None } else { Some(committed as SeqNo) },
-            consumed,
-            splits_consumed: parse(t[3])?,
-            done: t[4] == "1",
-            rewind_until: if rewind < 0 { None } else { Some(rewind as SeqNo) },
-        })
-    }
 }
 
 /// An outstanding task (`G.T`). There is at most one per channel because
@@ -241,19 +132,6 @@ pub struct TaskEntry {
     pub task: TaskName,
     /// Worker the task is assigned to (the worker hosting its channel).
     pub worker: WorkerId,
-}
-
-impl TaskEntry {
-    fn encode(&self) -> String {
-        format!("{} {}", self.task.seq, self.worker)
-    }
-    fn decode(addr: ChannelAddr, data: &str) -> Result<Self> {
-        let t: Vec<&str> = data.split(' ').collect();
-        if t.len() != 2 {
-            return Err(QuokkaError::Storage(format!("malformed task entry: {data}")));
-        }
-        Ok(TaskEntry { task: addr.task(parse(t[0])?), worker: parse(t[1])? })
-    }
 }
 
 /// Directory entry describing where one output partition lives.
@@ -269,25 +147,6 @@ pub struct PartitionEntry {
     pub spooled: bool,
     /// Encoded size in bytes (all consumers' slices combined).
     pub bytes: u64,
-}
-
-impl PartitionEntry {
-    fn encode(&self) -> String {
-        format!("{} {} {} {}", self.owner, self.backed_up as u8, self.spooled as u8, self.bytes)
-    }
-    fn decode(name: TaskName, data: &str) -> Result<Self> {
-        let t: Vec<&str> = data.split(' ').collect();
-        if t.len() != 4 {
-            return Err(QuokkaError::Storage(format!("malformed partition entry: {data}")));
-        }
-        Ok(PartitionEntry {
-            name,
-            owner: parse(t[0])?,
-            backed_up: t[1] == "1",
-            spooled: t[2] == "1",
-            bytes: parse(t[3])?,
-        })
-    }
 }
 
 /// A replay request: `owner` should re-push its backed-up slice of partition
@@ -334,52 +193,65 @@ pub struct TaskCommit {
 }
 
 // ---------------------------------------------------------------------------
-// Key construction
+// The tables
 // ---------------------------------------------------------------------------
 
-fn lineage_key(t: TaskName) -> String {
-    format!("lineage/{:08}/{:08}/{:08}", t.stage, t.channel, t.seq)
-}
-fn lineage_prefix(ch: ChannelAddr) -> String {
-    format!("lineage/{:08}/{:08}/", ch.stage, ch.channel)
-}
-fn chan_key(ch: ChannelAddr) -> String {
-    format!("chan/{:08}/{:08}", ch.stage, ch.channel)
-}
-fn task_key(ch: ChannelAddr) -> String {
-    format!("task/{:08}/{:08}", ch.stage, ch.channel)
-}
-fn part_key(t: TaskName) -> String {
-    format!("part/{:08}/{:08}/{:08}", t.stage, t.channel, t.seq)
-}
-fn replay_key(r: &ReplayRequest) -> String {
-    format!(
-        "replay/{:08}/{:08}/{:08}/{:08}/{:08}/{:08}",
-        r.owner,
-        r.partition.stage,
-        r.partition.channel,
-        r.partition.seq,
-        r.consumer.stage,
-        r.consumer.channel
-    )
+/// Every table of the GCS; one lock guards them all.
+#[derive(Debug, Default)]
+struct Tables {
+    lineage: BTreeMap<TaskName, LineageRecord>,
+    channels: BTreeMap<ChannelAddr, ChannelState>,
+    tasks: BTreeMap<ChannelAddr, TaskEntry>,
+    partitions: BTreeMap<TaskName, PartitionEntry>,
+    /// Replay requests by `(owner, partition, consumer)`. The attempt count
+    /// is the value, so re-queuing a request overwrites rather than
+    /// duplicates it.
+    replays: BTreeMap<(WorkerId, TaskName, ChannelAddr), u32>,
+    lost: BTreeSet<TaskName>,
+    failed: BTreeSet<WorkerId>,
+    /// Process mode: where each worker process's shuffle listener is.
+    processes: BTreeMap<u32, SocketAddr>,
+    paused: bool,
+    done: bool,
+    error: Option<String>,
+    transactions: u64,
+    lineage_bytes: u64,
 }
 
-fn parse_task_from_key(key: &str, prefix: &str) -> Result<TaskName> {
-    let rest = &key[prefix.len()..];
-    let parts: Vec<&str> = rest.split('/').collect();
-    if parts.len() != 3 {
-        return Err(QuokkaError::Storage(format!("malformed key {key}")));
-    }
-    Ok(TaskName::new(parse(parts[0])?, parse(parts[1])?, parse(parts[2])?))
+/// The call byte that follows [`OP_GCS`](remote::OP_GCS) in a control
+/// frame: one per [`Gcs`] method.
+pub(crate) mod call {
+    pub const TRANSACTIONS: u8 = 1;
+    pub const LINEAGE_BYTES: u8 = 2;
+    pub const LINEAGE_COMMITTED: u8 = 3;
+    pub const GET_LINEAGE: u8 = 4;
+    pub const PUT_LINEAGE: u8 = 5;
+    pub const PUT_CHANNEL: u8 = 6;
+    pub const GET_CHANNEL: u8 = 7;
+    pub const ALL_CHANNELS: u8 = 8;
+    pub const PUT_TASK: u8 = 9;
+    pub const GET_TASK: u8 = 10;
+    pub const GET_PARTITION: u8 = 11;
+    pub const ADD_REPLAY: u8 = 12;
+    pub const REPLAYS_FOR_WORKER: u8 = 13;
+    pub const REMOVE_REPLAY: u8 = 14;
+    pub const SET_PAUSED: u8 = 15;
+    pub const IS_PAUSED: u8 = 16;
+    pub const MARK_WORKER_FAILED: u8 = 17;
+    pub const IS_WORKER_FAILED: u8 = 18;
+    pub const SET_QUERY_DONE: u8 = 19;
+    pub const IS_QUERY_DONE: u8 = 20;
+    pub const SET_QUERY_ERROR: u8 = 21;
+    pub const QUERY_ERROR: u8 = 22;
+    pub const MARK_PARTITION_LOST: u8 = 23;
+    pub const TAKE_LOST_PARTITIONS: u8 = 24;
+    pub const COMMIT_TASK: u8 = 25;
+    pub const PUBLISH_PROCESS: u8 = 26;
+    pub const PROCESS_ADDR: u8 = 27;
 }
 
-fn parse_channel_from_key(key: &str, prefix: &str) -> Result<ChannelAddr> {
-    let rest = &key[prefix.len()..];
-    let parts: Vec<&str> = rest.split('/').collect();
-    if parts.len() != 2 {
-        return Err(QuokkaError::Storage(format!("malformed key {key}")));
-    }
-    Ok(ChannelAddr::new(parse(parts[0])?, parse(parts[1])?))
+fn aborted(reason: String) -> Result<()> {
+    Err(QuokkaError::TransactionAborted(reason))
 }
 
 // ---------------------------------------------------------------------------
@@ -389,8 +261,17 @@ fn parse_channel_from_key(key: &str, prefix: &str) -> Result<ChannelAddr> {
 /// The Global Control Store used by TaskManagers and the coordinator.
 #[derive(Debug)]
 pub struct Gcs {
-    kv: KvStore,
-    lineage_bytes: AtomicU64,
+    backend: Backend,
+}
+
+#[derive(Debug)]
+enum Backend {
+    /// The authoritative tables. Every call sleeps `op_latency` first, the
+    /// simulated round trip to the head node.
+    Local { tables: Box<Mutex<Tables>>, op_latency: Duration },
+    /// A worker process's handle: every call is one control frame to the
+    /// driver, which pays the real round trip.
+    Remote(Arc<ControlClient>),
 }
 
 impl Default for Gcs {
@@ -400,38 +281,61 @@ impl Default for Gcs {
 }
 
 impl Gcs {
-    /// Create a GCS whose every operation costs `op_latency` (use zero in
-    /// tests).
+    /// Create an authoritative GCS whose every call costs `op_latency` (use
+    /// zero in tests).
     pub fn new(op_latency: Duration) -> Self {
-        Gcs { kv: KvStore::new(op_latency), lineage_bytes: AtomicU64::new(0) }
+        Gcs { backend: Backend::Local { tables: Box::default(), op_latency } }
     }
 
-    /// Wrap an existing KV store — how worker processes build their GCS view
-    /// over a [`KvStore::remote`] proxy in process mode.
-    pub fn with_kv(kv: KvStore) -> Self {
-        Gcs { kv, lineage_bytes: AtomicU64::new(0) }
+    /// A worker process's GCS: every call is answered by the driver's
+    /// tables over `client`.
+    pub fn remote(client: Arc<ControlClient>) -> Self {
+        Gcs { backend: Backend::Remote(client) }
     }
 
-    /// Access to the raw KV store (used by tests and diagnostics).
-    pub fn kv(&self) -> &KvStore {
-        &self.kv
+    /// Run one call: `apply` under the table lock, or, on a remote handle,
+    /// one control frame carrying `call` and `arg` that the driver answers
+    /// by running the same method on its tables.
+    fn try_call<A: Encode + ?Sized, R: Decode>(
+        &self,
+        call: u8,
+        arg: &A,
+        apply: impl FnOnce(&mut Tables) -> Result<R>,
+    ) -> Result<R> {
+        match &self.backend {
+            Backend::Local { tables, op_latency } => {
+                if !op_latency.is_zero() {
+                    std::thread::sleep(*op_latency);
+                }
+                apply(&mut tables.lock())
+            }
+            Backend::Remote(client) => remote::call(client, call, arg),
+        }
     }
 
-    /// Bytes of lineage committed so far.
-    pub fn lineage_bytes(&self) -> u64 {
-        self.lineage_bytes.load(Ordering::Relaxed)
+    /// [`Self::try_call`] for a call that cannot fail. A worker process
+    /// whose driver is unreachable is dead, like a Ray worker that loses
+    /// its GCS connection: it panics, which tears the process down and lets
+    /// the driver's failure detector reconcile its workers.
+    fn call<A: Encode + ?Sized, R: Decode>(
+        &self,
+        call: u8,
+        arg: &A,
+        apply: impl FnOnce(&mut Tables) -> R,
+    ) -> R {
+        self.try_call(call, arg, |t| Ok(apply(t)))
+            .unwrap_or_else(|e| panic!("GCS connection lost: {e}"))
     }
 
-    /// Committed GCS transactions so far.
+    /// Committed GCS transactions so far (see the module docs).
     pub fn transactions(&self) -> u64 {
-        self.kv.committed_transactions()
+        self.call(call::TRANSACTIONS, &(), |t| t.transactions)
     }
 
-    /// Remove all state (used when a cluster object is reused for another
-    /// query).
-    pub fn clear(&self) {
-        self.kv.clear();
-        self.lineage_bytes.store(0, Ordering::Relaxed);
+    /// Bytes of lineage committed so far: the binary encoding of every
+    /// record.
+    pub fn lineage_bytes(&self) -> u64 {
+        self.call(call::LINEAGE_BYTES, &(), |t| t.lineage_bytes)
     }
 
     // -- lineage table ------------------------------------------------------
@@ -440,161 +344,99 @@ impl Gcs {
     /// at the heart of Algorithm 1 ("tasks consume only objects with
     /// committed lineage").
     pub fn lineage_committed(&self, task: TaskName) -> bool {
-        self.kv.contains(&lineage_key(task))
+        self.call(call::LINEAGE_COMMITTED, &task, |t| t.lineage.contains_key(&task))
     }
 
     /// Fetch one lineage record.
     pub fn get_lineage(&self, task: TaskName) -> Option<LineageRecord> {
-        self.kv
-            .get_value(&lineage_key(task))
-            .and_then(|v| LineageRecord::decode(task, std::str::from_utf8(&v).ok()?).ok())
+        self.call(call::GET_LINEAGE, &task, |t| t.lineage.get(&task).cloned())
     }
 
-    /// All committed lineage records of one channel, in sequence order.
-    pub fn channel_lineage(&self, ch: ChannelAddr) -> Vec<LineageRecord> {
-        let prefix = lineage_prefix(ch);
-        self.kv
-            .scan_prefix(&prefix)
-            .into_iter()
-            .filter_map(|(k, v)| {
-                let task = parse_task_from_key(&k, "lineage/").ok()?;
-                LineageRecord::decode(task, std::str::from_utf8(&v).ok()?).ok()
-            })
-            .collect()
-    }
-
-    /// Directly insert a lineage record outside a task commit (used by tests
-    /// and by the recovery planner when reconstructing state).
+    /// Insert a lineage record outside a task commit.
     pub fn put_lineage(&self, record: &LineageRecord) {
-        let encoded = record.encode();
-        self.lineage_bytes.fetch_add(encoded.len() as u64, Ordering::Relaxed);
-        self.kv.put(lineage_key(record.task), Bytes::from(encoded));
+        self.call(call::PUT_LINEAGE, record, |t| {
+            t.lineage_bytes += record.encoded_len();
+            t.lineage.insert(record.task, record.clone());
+            t.transactions += 1;
+        })
     }
 
     // -- channel registry ---------------------------------------------------
 
     pub fn put_channel(&self, state: &ChannelState) {
-        self.kv.put(chan_key(state.addr), Bytes::from(state.encode()));
+        self.call(call::PUT_CHANNEL, state, |t| {
+            t.channels.insert(state.addr, state.clone());
+            t.transactions += 1;
+        })
     }
 
     pub fn get_channel(&self, addr: ChannelAddr) -> Option<ChannelState> {
-        self.kv
-            .get_value(&chan_key(addr))
-            .and_then(|v| ChannelState::decode(addr, std::str::from_utf8(&v).ok()?).ok())
+        self.call(call::GET_CHANNEL, &addr, |t| t.channels.get(&addr).cloned())
     }
 
-    /// Every registered channel.
+    /// Every registered channel, in address order.
     pub fn all_channels(&self) -> Vec<ChannelState> {
-        self.kv
-            .scan_prefix("chan/")
-            .into_iter()
-            .filter_map(|(k, v)| {
-                let addr = parse_channel_from_key(&k, "chan/").ok()?;
-                ChannelState::decode(addr, std::str::from_utf8(&v).ok()?).ok()
-            })
-            .collect()
+        self.call(call::ALL_CHANNELS, &(), |t| t.channels.values().cloned().collect())
     }
 
     // -- task table ---------------------------------------------------------
 
     pub fn put_task(&self, entry: &TaskEntry) {
-        self.kv.put(task_key(entry.task.channel_addr()), Bytes::from(entry.encode()));
+        self.call(call::PUT_TASK, entry, |t| {
+            t.tasks.insert(entry.task.channel_addr(), entry.clone());
+            t.transactions += 1;
+        })
     }
 
     pub fn get_task(&self, ch: ChannelAddr) -> Option<TaskEntry> {
-        self.kv
-            .get_value(&task_key(ch))
-            .and_then(|v| TaskEntry::decode(ch, std::str::from_utf8(&v).ok()?).ok())
-    }
-
-    pub fn remove_task(&self, ch: ChannelAddr) {
-        self.kv.delete(&task_key(ch));
-    }
-
-    /// Every outstanding task, across all channels.
-    pub fn all_tasks(&self) -> Vec<TaskEntry> {
-        self.kv
-            .scan_prefix("task/")
-            .into_iter()
-            .filter_map(|(k, v)| {
-                let addr = parse_channel_from_key(&k, "task/").ok()?;
-                TaskEntry::decode(addr, std::str::from_utf8(&v).ok()?).ok()
-            })
-            .collect()
-    }
-
-    /// Outstanding tasks assigned to one worker — the set `A` of Algorithm 2.
-    pub fn tasks_on_worker(&self, worker: WorkerId) -> Vec<TaskEntry> {
-        self.all_tasks().into_iter().filter(|t| t.worker == worker).collect()
+        self.call(call::GET_TASK, &ch, |t| t.tasks.get(&ch).cloned())
     }
 
     // -- partition directory -------------------------------------------------
 
-    pub fn put_partition(&self, entry: &PartitionEntry) {
-        self.kv.put(part_key(entry.name), Bytes::from(entry.encode()));
-    }
-
     pub fn get_partition(&self, name: TaskName) -> Option<PartitionEntry> {
-        self.kv
-            .get_value(&part_key(name))
-            .and_then(|v| PartitionEntry::decode(name, std::str::from_utf8(&v).ok()?).ok())
-    }
-
-    /// Every partition entry in the directory.
-    pub fn all_partitions(&self) -> Vec<PartitionEntry> {
-        self.kv
-            .scan_prefix("part/")
-            .into_iter()
-            .filter_map(|(k, v)| {
-                let name = parse_task_from_key(&k, "part/").ok()?;
-                PartitionEntry::decode(name, std::str::from_utf8(&v).ok()?).ok()
-            })
-            .collect()
+        self.call(call::GET_PARTITION, &name, |t| t.partitions.get(&name).cloned())
     }
 
     // -- replay requests ------------------------------------------------------
 
-    /// Enqueue a replay request (recovery coordinator → owner worker). The
-    /// attempt count lives in the *value* so a re-queue of the same request
-    /// (same key) overwrites rather than duplicates.
+    /// Enqueue a replay request (recovery coordinator → owner worker). A
+    /// re-queue of the same request with a new attempt count overwrites it.
     pub fn add_replay(&self, request: &ReplayRequest) {
-        self.kv.put(replay_key(request), Bytes::from(request.attempts.to_string()));
+        self.call(call::ADD_REPLAY, request, |t| {
+            let key = (request.owner, request.partition, request.consumer);
+            t.replays.insert(key, request.attempts);
+            t.transactions += 1;
+        })
     }
 
     /// Replay requests assigned to `worker`.
     pub fn replays_for_worker(&self, worker: WorkerId) -> Vec<ReplayRequest> {
-        let prefix = format!("replay/{worker:08}/");
-        self.kv
-            .scan_prefix(&prefix)
-            .into_iter()
-            .filter_map(|(k, v)| {
-                let rest = &k[prefix.len()..];
-                let p: Vec<&str> = rest.split('/').collect();
-                if p.len() != 5 {
-                    return None;
-                }
-                Some(ReplayRequest {
-                    owner: worker,
-                    partition: TaskName::new(
-                        p[0].parse().ok()?,
-                        p[1].parse().ok()?,
-                        p[2].parse().ok()?,
-                    ),
-                    consumer: ChannelAddr::new(p[3].parse().ok()?, p[4].parse().ok()?),
-                    attempts: std::str::from_utf8(&v)
-                        .ok()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(0),
+        self.call(call::REPLAYS_FOR_WORKER, &worker, |t| {
+            let first = (worker, TaskName::new(0, 0, 0), ChannelAddr::new(0, 0));
+            t.replays
+                .range(first..)
+                .take_while(|((owner, ..), _)| *owner == worker)
+                .map(|(&(owner, partition, consumer), &attempts)| ReplayRequest {
+                    owner,
+                    partition,
+                    consumer,
+                    attempts,
                 })
-            })
-            .collect()
+                .collect()
+        })
     }
 
-    /// Remove a completed replay request. Returns whether it was present —
-    /// workers use this as an atomic claim so two threads of the same worker
-    /// never replay the same request twice.
+    /// Remove a replay request. Returns whether it was present — workers
+    /// use this as an atomic claim so two threads of the same worker never
+    /// replay the same request twice.
     pub fn remove_replay(&self, request: &ReplayRequest) -> bool {
-        self.kv.delete(&replay_key(request))
+        self.call(call::REMOVE_REPLAY, request, |t| {
+            let key = (request.owner, request.partition, request.consumer);
+            let removed = t.replays.remove(&key).is_some();
+            t.transactions += u64::from(removed);
+            removed
+        })
     }
 
     // -- control flags --------------------------------------------------------
@@ -603,50 +445,51 @@ impl Gcs {
     /// their current work and wait, giving the coordinator exclusive
     /// read-write access to the GCS (§IV-B).
     pub fn set_paused(&self, paused: bool) {
-        if paused {
-            self.kv.put("ctrl/pause", Bytes::from_static(b"1"));
-        } else {
-            self.kv.delete("ctrl/pause");
-        }
+        self.call(call::SET_PAUSED, &paused, |t| {
+            // Lowering a barrier that is not raised removes nothing.
+            t.transactions += u64::from(paused || t.paused);
+            t.paused = paused;
+        })
     }
 
     pub fn is_paused(&self) -> bool {
-        self.kv.contains("ctrl/pause")
+        self.call(call::IS_PAUSED, &(), |t| t.paused)
     }
 
     /// Record that a worker has failed.
     pub fn mark_worker_failed(&self, worker: WorkerId) {
-        self.kv.put(format!("ctrl/failed/{worker:08}"), Bytes::from_static(b"1"));
+        self.call(call::MARK_WORKER_FAILED, &worker, |t| {
+            t.failed.insert(worker);
+            t.transactions += 1;
+        })
     }
 
     pub fn is_worker_failed(&self, worker: WorkerId) -> bool {
-        self.kv.contains(&format!("ctrl/failed/{worker:08}"))
-    }
-
-    pub fn failed_workers(&self) -> Vec<WorkerId> {
-        self.kv
-            .scan_prefix("ctrl/failed/")
-            .into_iter()
-            .filter_map(|(k, _)| k["ctrl/failed/".len()..].parse().ok())
-            .collect()
+        self.call(call::IS_WORKER_FAILED, &worker, |t| t.failed.contains(&worker))
     }
 
     /// Mark the whole query as finished (all sink channels done).
     pub fn set_query_done(&self) {
-        self.kv.put("ctrl/done", Bytes::from_static(b"1"));
+        self.call(call::SET_QUERY_DONE, &(), |t| {
+            t.done = true;
+            t.transactions += 1;
+        })
     }
 
     pub fn is_query_done(&self) -> bool {
-        self.kv.contains("ctrl/done")
+        self.call(call::IS_QUERY_DONE, &(), |t| t.done)
     }
 
     /// Record a fatal query error; workers stop when they observe it.
     pub fn set_query_error(&self, message: &str) {
-        self.kv.put("ctrl/error", Bytes::from(message.to_string()));
+        self.call(call::SET_QUERY_ERROR, message, |t| {
+            t.error = Some(message.to_string());
+            t.transactions += 1;
+        })
     }
 
     pub fn query_error(&self) -> Option<String> {
-        self.kv.get_value("ctrl/error").map(|v| String::from_utf8_lossy(&v).into_owned())
+        self.call(call::QUERY_ERROR, &(), |t| t.error.clone())
     }
 
     /// Flag a committed output partition whose backing bytes turned out to
@@ -654,27 +497,35 @@ impl Gcs {
     /// coordinator polls these and rewinds the producing channel so the
     /// partition is regenerated from lineage.
     pub fn mark_partition_lost(&self, partition: TaskName) {
-        self.kv.put(
-            format!(
-                "ctrl/lost/{:08}/{:08}/{:08}",
-                partition.stage, partition.channel, partition.seq
-            ),
-            Bytes::from_static(b"1"),
-        );
+        self.call(call::MARK_PARTITION_LOST, &partition, |t| {
+            t.lost.insert(partition);
+            t.transactions += 1;
+        })
     }
 
     /// Drain and return all partitions currently flagged as lost.
     pub fn take_lost_partitions(&self) -> Vec<TaskName> {
-        let lost: Vec<TaskName> = self
-            .kv
-            .scan_prefix("ctrl/lost/")
-            .into_iter()
-            .filter_map(|(k, _)| parse_task_from_key(&k, "ctrl/lost/").ok())
-            .collect();
-        for p in &lost {
-            self.kv.delete(&format!("ctrl/lost/{:08}/{:08}/{:08}", p.stage, p.channel, p.seq));
-        }
-        lost
+        self.call(call::TAKE_LOST_PARTITIONS, &(), |t| {
+            let lost: Vec<TaskName> = std::mem::take(&mut t.lost).into_iter().collect();
+            t.transactions += lost.len() as u64;
+            lost
+        })
+    }
+
+    // -- process-mode rendezvous ---------------------------------------------
+
+    /// Publish where worker process `process` accepts shuffle connections.
+    pub fn publish_process(&self, process: u32, addr: SocketAddr) {
+        self.call(call::PUBLISH_PROCESS, &(process, addr), |t| {
+            t.processes.insert(process, addr);
+            t.transactions += 1;
+        })
+    }
+
+    /// Where worker process `process` accepts shuffle connections, once it
+    /// has published that.
+    pub fn process_addr(&self, process: u32) -> Option<SocketAddr> {
+        self.call(call::PROCESS_ADDR, &process, |t| t.processes.get(&process).copied())
     }
 
     // -- the Algorithm-1 commit ----------------------------------------------
@@ -683,48 +534,99 @@ impl Gcs {
     /// output partition, update the channel state (watermarks, committed
     /// sequence number, done flag) and replace the channel's outstanding
     /// task with the next one. The transaction aborts if the recovery
-    /// barrier is raised or the committing worker has been marked failed.
+    /// barrier is raised, if the committing worker has been marked failed,
+    /// or if the stored channel state no longer equals `prev_channel`.
     /// With `raise_barrier` the same transaction raises the barrier: the
     /// commit crossed a chaos trigger, and no other task may commit until
     /// the coordinator has applied the fault and lowered it again.
     pub fn commit_task(&self, commit: &TaskCommit, raise_barrier: bool) -> Result<()> {
-        let lineage_encoded = commit.lineage.encode();
-        let lineage_len = lineage_encoded.len() as u64;
-        let channel = commit.channel_state.addr;
-        self.kv.with_transaction(0, |txn| {
-            if txn.get("ctrl/pause").is_some() {
-                return Err(QuokkaError::TransactionAborted(
-                    "recovery barrier is raised".to_string(),
-                ));
+        self.try_call(call::COMMIT_TASK, &(commit, raise_barrier), |t| {
+            let channel = commit.channel_state.addr;
+            if t.paused {
+                return aborted("recovery barrier is raised".to_string());
             }
-            if txn.get(&format!("ctrl/failed/{:08}", commit.worker)).is_some() {
-                return Err(QuokkaError::TransactionAborted(format!(
-                    "worker {} has been marked failed",
-                    commit.worker
-                )));
+            if t.failed.contains(&commit.worker) {
+                return aborted(format!("worker {} has been marked failed", commit.worker));
             }
             if let Some(prev) = &commit.prev_channel {
-                let stored = txn.get(&chan_key(channel));
-                if stored.as_deref() != Some(prev.encode().as_bytes()) {
-                    return Err(QuokkaError::TransactionAborted(format!(
-                        "channel {channel} was reconciled since the task started",
-                    )));
+                if t.channels.get(&channel) != Some(prev) {
+                    return aborted(format!(
+                        "channel {channel} was reconciled since the task started"
+                    ));
                 }
             }
-            txn.put(lineage_key(commit.lineage.task), Bytes::from(lineage_encoded.clone()));
-            txn.put(part_key(commit.partition.name), Bytes::from(commit.partition.encode()));
-            txn.put(chan_key(channel), Bytes::from(commit.channel_state.encode()));
+            t.lineage_bytes += commit.lineage.encoded_len();
+            t.lineage.insert(commit.lineage.task, commit.lineage.clone());
+            t.partitions.insert(commit.partition.name, commit.partition.clone());
+            t.channels.insert(channel, commit.channel_state.clone());
             match &commit.next_task {
-                Some(next) => txn.put(task_key(channel), Bytes::from(next.encode())),
-                None => txn.delete(task_key(channel)),
-            }
-            if raise_barrier {
-                txn.put("ctrl/pause", Bytes::from_static(b"1"));
-            }
+                Some(next) => t.tasks.insert(channel, next.clone()),
+                None => t.tasks.remove(&channel),
+            };
+            t.paused |= raise_barrier;
+            t.transactions += 1;
             Ok(())
-        })?;
-        self.lineage_bytes.fetch_add(lineage_len, Ordering::Relaxed);
-        Ok(())
+        })
+    }
+
+    // -- the driver's side of a remote call ----------------------------------
+
+    /// Answer one GCS control frame, positioned after its
+    /// [`OP_GCS`](remote::OP_GCS) byte, by calling the same method on this
+    /// GCS; returns the response frame. The argument is decoded in full
+    /// before the method runs, so a truncated or garbage frame changes
+    /// nothing and gets a typed error.
+    pub fn serve(&self, frame: &mut WireReader<'_>) -> Result<Vec<u8>> {
+        fn arg<A: Decode>(frame: &mut WireReader<'_>) -> Result<A> {
+            let arg = A::get(frame)?;
+            frame.expect_end()?;
+            Ok(arg)
+        }
+        fn answer<A: Decode, R: Encode>(
+            frame: &mut WireReader<'_>,
+            method: impl FnOnce(A) -> R,
+        ) -> Result<Vec<u8>> {
+            let result = method(arg(frame)?);
+            Ok(remote::ok_frame(|out| result.put(out)))
+        }
+        match frame.u8()? {
+            call::TRANSACTIONS => answer(frame, |()| self.transactions()),
+            call::LINEAGE_BYTES => answer(frame, |()| self.lineage_bytes()),
+            call::LINEAGE_COMMITTED => answer(frame, |task| self.lineage_committed(task)),
+            call::GET_LINEAGE => answer(frame, |task| self.get_lineage(task)),
+            call::PUT_LINEAGE => answer(frame, |record| self.put_lineage(&record)),
+            call::PUT_CHANNEL => answer(frame, |state| self.put_channel(&state)),
+            call::GET_CHANNEL => answer(frame, |addr| self.get_channel(addr)),
+            call::ALL_CHANNELS => answer(frame, |()| self.all_channels()),
+            call::PUT_TASK => answer(frame, |entry| self.put_task(&entry)),
+            call::GET_TASK => answer(frame, |addr| self.get_task(addr)),
+            call::GET_PARTITION => answer(frame, |name| self.get_partition(name)),
+            call::ADD_REPLAY => answer(frame, |request| self.add_replay(&request)),
+            call::REPLAYS_FOR_WORKER => answer(frame, |worker| self.replays_for_worker(worker)),
+            call::REMOVE_REPLAY => answer(frame, |request| self.remove_replay(&request)),
+            call::SET_PAUSED => answer(frame, |paused| self.set_paused(paused)),
+            call::IS_PAUSED => answer(frame, |()| self.is_paused()),
+            call::MARK_WORKER_FAILED => answer(frame, |worker| self.mark_worker_failed(worker)),
+            call::IS_WORKER_FAILED => answer(frame, |worker| self.is_worker_failed(worker)),
+            call::SET_QUERY_DONE => answer(frame, |()| self.set_query_done()),
+            call::IS_QUERY_DONE => answer(frame, |()| self.is_query_done()),
+            call::SET_QUERY_ERROR => {
+                answer(frame, |message: String| self.set_query_error(&message))
+            }
+            call::QUERY_ERROR => answer(frame, |()| self.query_error()),
+            call::MARK_PARTITION_LOST => answer(frame, |name| self.mark_partition_lost(name)),
+            call::TAKE_LOST_PARTITIONS => answer(frame, |()| self.take_lost_partitions()),
+            call::PUBLISH_PROCESS => {
+                answer(frame, |(process, addr)| self.publish_process(process, addr))
+            }
+            call::PROCESS_ADDR => answer(frame, |process| self.process_addr(process)),
+            call::COMMIT_TASK => {
+                let (commit, raise_barrier): (TaskCommit, bool) = arg(frame)?;
+                self.commit_task(&commit, raise_barrier)?;
+                Ok(remote::ok_frame(|_| {}))
+            }
+            other => Err(QuokkaError::Storage(format!("unknown GCS call {other}"))),
+        }
     }
 }
 
@@ -747,6 +649,38 @@ mod tests {
         }
     }
 
+    /// A commit of task `seq` of `channel` on worker 0, enqueueing the next.
+    fn commit_of(channel: ChannelAddr, seq: SeqNo) -> TaskCommit {
+        TaskCommit {
+            worker: 0,
+            lineage: lineage(channel.task(seq)),
+            partition: PartitionEntry {
+                name: channel.task(seq),
+                owner: 0,
+                backed_up: true,
+                spooled: false,
+                bytes: 64,
+            },
+            channel_state: ChannelState::new(channel, 0, 1),
+            prev_channel: None,
+            next_task: Some(TaskEntry { task: channel.task(seq + 1), worker: 0 }),
+        }
+    }
+
+    /// Encode `value` as a control frame carries it, and decode it back;
+    /// every strict prefix of the encoding must fail to decode.
+    fn roundtrip<T: Encode + Decode>(value: &T) -> T {
+        let mut buf = Vec::new();
+        value.put(&mut buf);
+        for cut in 0..buf.len() {
+            assert!(T::get(&mut WireReader::new(&buf[..cut])).is_err(), "prefix of {cut} bytes");
+        }
+        let mut r = WireReader::new(&buf);
+        let decoded = T::get(&mut r).unwrap();
+        r.expect_end().unwrap();
+        decoded
+    }
+
     #[test]
     fn lineage_record_roundtrip() {
         let t = TaskName::new(1, 2, 3);
@@ -764,11 +698,18 @@ mod tests {
                 output_rows: 5,
                 output_bytes: 9,
             };
-            let decoded = LineageRecord::decode(t, &rec.encode()).unwrap();
-            assert_eq!(decoded, rec);
+            assert_eq!(roundtrip(&rec), rec);
+            assert_eq!(rec.encoded_len() as usize, {
+                let mut buf = Vec::new();
+                rec.put(&mut buf);
+                buf.len()
+            });
         }
-        assert!(LineageRecord::decode(t, "garbage").is_err());
-        assert!(LineageRecord::decode(t, "X 1 2;3;4").is_err());
+        // An unknown source tag is garbage, not a panic.
+        let mut buf = Vec::new();
+        t.put(&mut buf);
+        buf.push(9);
+        assert!(LineageRecord::get(&mut WireReader::new(&buf)).is_err());
     }
 
     #[test]
@@ -780,13 +721,13 @@ mod tests {
         st.splits_consumed = 6;
         st.done = true;
         st.rewind_until = Some(4);
-        let decoded = ChannelState::decode(addr, &st.encode()).unwrap();
+        let decoded = roundtrip(&st);
         assert_eq!(decoded, st);
         assert_eq!(decoded.next_seq(), 8);
         assert_eq!(decoded.outputs_produced(), 8);
 
         let fresh = ChannelState::new(addr, 0, 0);
-        let decoded = ChannelState::decode(addr, &fresh.encode()).unwrap();
+        let decoded = roundtrip(&fresh);
         assert_eq!(decoded, fresh);
         assert_eq!(decoded.next_seq(), 0);
     }
@@ -795,7 +736,7 @@ mod tests {
     fn task_and_partition_roundtrip() {
         let addr = ChannelAddr::new(1, 1);
         let entry = TaskEntry { task: addr.task(9), worker: 2 };
-        assert_eq!(TaskEntry::decode(addr, &entry.encode()).unwrap(), entry);
+        assert_eq!(roundtrip(&entry), entry);
 
         let part = PartitionEntry {
             name: TaskName::new(1, 1, 9),
@@ -804,7 +745,18 @@ mod tests {
             spooled: false,
             bytes: 4096,
         };
-        assert_eq!(PartitionEntry::decode(part.name, &part.encode()).unwrap(), part);
+        assert_eq!(roundtrip(&part), part);
+
+        let replay = ReplayRequest { attempts: 2, ..ReplayRequest::new(1, part.name, addr) };
+        assert_eq!(roundtrip(&replay), replay);
+
+        let commit =
+            TaskCommit { prev_channel: Some(ChannelState::new(addr, 2, 1)), ..commit_of(addr, 9) };
+        let decoded = roundtrip(&commit);
+        assert_eq!(
+            (decoded.lineage, decoded.partition, decoded.prev_channel, decoded.next_task),
+            (commit.lineage, commit.partition, commit.prev_channel, commit.next_task)
+        );
     }
 
     #[test]
@@ -816,10 +768,11 @@ mod tests {
         gcs.put_lineage(&lineage(TaskName::new(1, 0, 1)));
         gcs.put_lineage(&lineage(TaskName::new(1, 1, 0)));
         assert!(gcs.lineage_committed(t));
+        assert!(gcs.lineage_committed(TaskName::new(1, 1, 0)));
+        assert!(!gcs.lineage_committed(TaskName::new(1, 1, 1)));
         assert_eq!(gcs.get_lineage(t).unwrap().output_rows, 100);
-        assert_eq!(gcs.channel_lineage(ChannelAddr::new(1, 0)).len(), 2);
-        assert_eq!(gcs.channel_lineage(ChannelAddr::new(1, 1)).len(), 1);
-        assert!(gcs.lineage_bytes() > 0);
+        assert!(gcs.get_lineage(TaskName::new(2, 0, 0)).is_none());
+        assert_eq!(gcs.lineage_bytes(), 3 * lineage(t).encoded_len());
     }
 
     #[test]
@@ -827,46 +780,47 @@ mod tests {
         let gcs = Gcs::default();
         let a = ChannelAddr::new(0, 0);
         let b = ChannelAddr::new(1, 0);
-        gcs.put_channel(&ChannelState::new(a, 0, 0));
         gcs.put_channel(&ChannelState::new(b, 1, 2));
-        assert_eq!(gcs.all_channels().len(), 2);
+        gcs.put_channel(&ChannelState::new(a, 0, 0));
+        let all = gcs.all_channels();
+        assert_eq!(all.iter().map(|c| c.addr).collect::<Vec<_>>(), vec![a, b]);
         assert_eq!(gcs.get_channel(b).unwrap().worker, 1);
 
+        assert!(gcs.get_task(a).is_none());
         gcs.put_task(&TaskEntry { task: a.task(0), worker: 0 });
         gcs.put_task(&TaskEntry { task: b.task(0), worker: 1 });
-        assert_eq!(gcs.all_tasks().len(), 2);
-        assert_eq!(gcs.tasks_on_worker(1).len(), 1);
-        gcs.remove_task(a);
-        assert!(gcs.get_task(a).is_none());
-        assert_eq!(gcs.all_tasks().len(), 1);
+        assert_eq!(gcs.get_task(b).unwrap().worker, 1);
+        gcs.put_task(&TaskEntry { task: a.task(1), worker: 2 });
+        assert_eq!(gcs.get_task(a).unwrap(), TaskEntry { task: a.task(1), worker: 2 });
+        assert_eq!(gcs.get_task(b).unwrap().task, b.task(0));
     }
 
     #[test]
     fn gcs_partition_directory_and_replay() {
         let gcs = Gcs::default();
-        let p = PartitionEntry {
-            name: TaskName::new(0, 1, 4),
-            owner: 1,
-            backed_up: true,
-            spooled: false,
-            bytes: 10,
-        };
-        gcs.put_partition(&p);
+        let channel = ChannelAddr::new(0, 1);
+        let commit = commit_of(channel, 4);
+        assert!(gcs.get_partition(commit.partition.name).is_none());
+        gcs.commit_task(&commit, false).unwrap();
+        let p = commit.partition;
         assert_eq!(gcs.get_partition(p.name).unwrap(), p);
-        assert_eq!(gcs.all_partitions().len(), 1);
 
         let r = ReplayRequest::new(1, p.name, ChannelAddr::new(1, 2));
         gcs.add_replay(&r);
+        gcs.add_replay(&ReplayRequest::new(2, p.name, ChannelAddr::new(1, 0)));
+        gcs.add_replay(&ReplayRequest::new(0, p.name, ChannelAddr::new(1, 0)));
         assert_eq!(gcs.replays_for_worker(1), vec![r.clone()]);
-        assert!(gcs.replays_for_worker(2).is_empty());
+        assert!(gcs.replays_for_worker(3).is_empty());
 
         // Re-queueing the same request with a higher attempt count
         // overwrites (same key) rather than duplicating.
         let charged = ReplayRequest { attempts: 3, ..r.clone() };
         gcs.add_replay(&charged);
         assert_eq!(gcs.replays_for_worker(1), vec![charged.clone()]);
-        gcs.remove_replay(&r);
+        assert!(gcs.remove_replay(&r));
+        assert!(!gcs.remove_replay(&r), "a request is claimed once");
         assert!(gcs.replays_for_worker(1).is_empty());
+        assert_eq!(gcs.replays_for_worker(2).len(), 1);
     }
 
     #[test]
@@ -894,7 +848,6 @@ mod tests {
         gcs.mark_worker_failed(3);
         assert!(gcs.is_worker_failed(3));
         assert!(!gcs.is_worker_failed(1));
-        assert_eq!(gcs.failed_workers(), vec![3]);
 
         assert!(!gcs.is_query_done());
         gcs.set_query_done();
@@ -903,6 +856,11 @@ mod tests {
         assert!(gcs.query_error().is_none());
         gcs.set_query_error("boom");
         assert_eq!(gcs.query_error().unwrap(), "boom");
+
+        let addr: SocketAddr = "127.0.0.1:4242".parse().unwrap();
+        assert!(gcs.process_addr(1).is_none());
+        gcs.publish_process(1, addr);
+        assert_eq!(gcs.process_addr(1), Some(addr));
     }
 
     #[test]
@@ -965,26 +923,12 @@ mod tests {
     fn a_barrier_raising_commit_lands_and_blocks_the_next() {
         let gcs = Gcs::default();
         let channel = ChannelAddr::new(1, 0);
-        let commit = |seq| TaskCommit {
-            worker: 0,
-            lineage: lineage(channel.task(seq)),
-            partition: PartitionEntry {
-                name: channel.task(seq),
-                owner: 0,
-                backed_up: true,
-                spooled: false,
-                bytes: 64,
-            },
-            channel_state: ChannelState::new(channel, 0, 1),
-            prev_channel: None,
-            next_task: Some(TaskEntry { task: channel.task(seq + 1), worker: 0 }),
-        };
-        gcs.commit_task(&commit(0), true).unwrap();
+        gcs.commit_task(&commit_of(channel, 0), true).unwrap();
         assert!(gcs.lineage_committed(channel.task(0)));
         assert!(gcs.is_paused(), "the crossing commit raises the barrier atomically");
-        assert!(gcs.commit_task(&commit(1), false).is_err());
+        assert!(gcs.commit_task(&commit_of(channel, 1), false).is_err());
         gcs.set_paused(false);
-        gcs.commit_task(&commit(1), false).unwrap();
+        gcs.commit_task(&commit_of(channel, 1), false).unwrap();
     }
 
     #[test]
@@ -1019,5 +963,62 @@ mod tests {
         gcs.commit_task(&commit, false).unwrap();
         assert!(gcs.get_task(channel).is_none());
         assert!(gcs.get_channel(channel).unwrap().done);
+    }
+
+    #[test]
+    fn transactions_count_writes_but_not_aborts_or_absent_removals() {
+        let gcs = Gcs::default();
+        let channel = ChannelAddr::new(1, 0);
+        let task = TaskEntry { task: channel.task(0), worker: 0 };
+        let replay = ReplayRequest::new(0, channel.task(0), ChannelAddr::new(2, 0));
+        let counted = |step: &dyn Fn(&Gcs)| {
+            let before = gcs.transactions();
+            step(&gcs);
+            gcs.transactions() - before
+        };
+        assert_eq!(counted(&|g| g.put_channel(&ChannelState::new(channel, 0, 1))), 1);
+        assert_eq!(counted(&|g| g.put_task(&task)), 1);
+        assert_eq!(counted(&|g| g.commit_task(&commit_of(channel, 0), false).unwrap()), 1);
+        assert_eq!(counted(&|g| g.put_lineage(&lineage(channel.task(9)))), 1);
+        assert_eq!(counted(&|g| g.add_replay(&replay)), 1);
+        assert_eq!(counted(&|g| g.add_replay(&replay)), 1, "a re-queue writes");
+        assert_eq!(counted(&|g| assert!(g.remove_replay(&replay))), 1);
+        assert_eq!(counted(&|g| assert!(!g.remove_replay(&replay))), 0, "absent");
+        assert_eq!(counted(&|g| g.set_paused(false)), 0, "no barrier to lower");
+        assert_eq!(counted(&|g| g.set_paused(true)), 1);
+        let blocked = |g: &Gcs| assert!(g.commit_task(&commit_of(channel, 1), false).is_err());
+        assert_eq!(counted(&blocked), 0, "aborted by the barrier");
+        assert_eq!(counted(&|g| g.set_paused(false)), 1);
+        assert_eq!(counted(&|g| g.mark_worker_failed(0)), 1);
+        assert_eq!(counted(&blocked), 0, "aborted by the failed mark");
+        gcs.mark_partition_lost(channel.task(0));
+        gcs.mark_partition_lost(channel.task(1));
+        assert_eq!(counted(&|g| assert_eq!(g.take_lost_partitions().len(), 2)), 2);
+        assert_eq!(counted(&|g| assert!(g.take_lost_partitions().is_empty())), 0);
+        let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
+        assert_eq!(counted(&|g| g.publish_process(0, addr)), 1);
+        assert_eq!(counted(&|g| g.set_query_error("boom")), 1);
+        assert_eq!(counted(&|g| g.set_query_done()), 1);
+        let reads = |g: &Gcs| {
+            let _ = (g.get_channel(channel), g.get_task(channel), g.all_channels());
+            let _ = (g.lineage_committed(channel.task(0)), g.get_lineage(channel.task(0)));
+            let _ = (g.get_partition(channel.task(0)), g.replays_for_worker(0));
+            let _ = (g.is_paused(), g.is_worker_failed(0), g.is_query_done());
+            let _ = (g.query_error(), g.process_addr(0), g.lineage_bytes());
+        };
+        assert_eq!(counted(&reads), 0);
+    }
+
+    #[test]
+    fn op_latency_is_charged_once_per_call() {
+        let latency = Duration::from_millis(25);
+        let gcs = Gcs::new(latency);
+        let channel = ChannelAddr::new(1, 0);
+        let start = std::time::Instant::now();
+        gcs.commit_task(&commit_of(channel, 0), false).unwrap();
+        let _ = gcs.get_channel(channel);
+        let elapsed = start.elapsed();
+        assert!(elapsed >= 2 * latency, "each call pays the round trip: {elapsed:?}");
+        assert!(elapsed < 4 * latency, "a commit is one call: {elapsed:?}");
     }
 }

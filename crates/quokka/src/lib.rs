@@ -47,9 +47,8 @@ pub use plan_cache::{CachedPlan, PlanCache, PlanCacheStats};
 pub use quokka_batch::{Batch, Column, DataType, ScalarValue, Schema};
 pub use quokka_common::{
     AdmissionConfig, Backoff, ChaosEvent, ChaosInjection, ChaosPlan, ChaosTrigger, ClusterConfig,
-    CostModelConfig, EngineConfig, ExecutionMode, FailureSpec, FaultStrategy, PeerWireStats,
-    PlanCacheConfig, QueryMetrics, QuokkaError, Result, RetryPolicy, SchedulePolicy,
-    TransportConfig, TransportKind,
+    CostModelConfig, EngineConfig, ExecutionMode, FaultStrategy, PeerWireStats, PlanCacheConfig,
+    QueryMetrics, QuokkaError, Result, RetryPolicy, SchedulePolicy, TransportConfig, TransportKind,
 };
 pub use quokka_engine::{
     AdmissionController, AdmissionStats, BatchStream, QueryOutcome, QueryRunner, StreamOptions,

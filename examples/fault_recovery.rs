@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example fault_recovery`
 
-use quokka::{EngineConfig, FailureSpec, FaultStrategy, QuokkaSession};
+use quokka::{ChaosPlan, EngineConfig, FaultStrategy, QuokkaSession};
 
 fn main() -> quokka::Result<()> {
     let workers = 4;
@@ -20,7 +20,7 @@ fn main() -> quokka::Result<()> {
 
     // 2. Kill worker 1 once half of the input splits have been consumed;
     //    write-ahead lineage rewinds only the lost channels.
-    let failing = EngineConfig::quokka(workers).with_failure(FailureSpec::halfway(1));
+    let failing = EngineConfig::quokka(workers).with_chaos(ChaosPlan::kill_at_progress(1, 0.5));
     let recovered = session.run_with(&plan, &failing)?;
     assert!(quokka::same_result(&expected, &recovered.batch), "recovered result differs!");
     println!(
@@ -35,7 +35,7 @@ fn main() -> quokka::Result<()> {
     //    restarted from scratch on the surviving workers.
     let restart = EngineConfig::quokka(workers)
         .with_fault(FaultStrategy::None)
-        .with_failure(FailureSpec::halfway(1));
+        .with_chaos(ChaosPlan::kill_at_progress(1, 0.5));
     let restarted = session.run_with(&plan, &restart)?;
     assert!(quokka::same_result(&expected, &restarted.batch));
     println!(

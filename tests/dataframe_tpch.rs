@@ -9,7 +9,7 @@
 
 use quokka::dataframe::tpch::{query as df_query, DATAFRAME_QUERIES};
 use quokka::tpch::queries::sql::sql_text;
-use quokka::{same_result, EngineConfig, FailureSpec, QuokkaSession};
+use quokka::{same_result, ChaosPlan, EngineConfig, QuokkaSession};
 
 /// Reference-executor parity runs on a larger data set (both sides are
 /// deterministic); the distributed runs use the same scale the other
@@ -111,7 +111,7 @@ fn dataframe_results_survive_the_optimizer() {
 #[test]
 fn dataframe_queries_recover_from_worker_failure() {
     let session = distributed_session();
-    let faulty = EngineConfig::quokka(3).with_failure(FailureSpec::halfway(1));
+    let faulty = EngineConfig::quokka(3).with_chaos(ChaosPlan::kill_at_progress(1, 0.5));
     for q in [3, 12] {
         let frame = df_query(&session, q).unwrap();
         let expected = frame.collect_reference().unwrap();

@@ -7,9 +7,7 @@
 //! reference executor, on the distributed engine (both transports), and
 //! under fault injection, where recovery replays encoded backups.
 
-use quokka::{
-    same_result, EngineConfig, FailureSpec, QuokkaSession, TpchGenerator, TransportConfig,
-};
+use quokka::{same_result, ChaosPlan, EngineConfig, QuokkaSession, TpchGenerator, TransportConfig};
 
 const SF: f64 = 0.002;
 const SEED: u64 = 0xC0FFEE;
@@ -94,7 +92,7 @@ fn fault_recovery_replays_encoded_backups_exactly() {
     for q in [3usize, 12] {
         let query = quokka::tpch::query(q).unwrap();
         let expected = plain.run_reference(&query).unwrap();
-        let config = EngineConfig::quokka(3).with_failure(FailureSpec::halfway(1));
+        let config = EngineConfig::quokka(3).with_chaos(ChaosPlan::kill_at_progress(1, 0.5));
         let outcome = encoded.run_with(&query, &config).unwrap();
         assert_eq!(outcome.metrics.failures, 1, "Q{q}: the injected failure must fire");
         assert!(

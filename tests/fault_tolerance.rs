@@ -2,7 +2,9 @@
 //! points of the query and the result must still be exactly the reference
 //! result, with the engine's invariants intact.
 
-use quokka::{same_result, EngineConfig, FailureSpec, FaultStrategy, QuokkaSession};
+use quokka::{
+    same_result, ChaosEvent, ChaosPlan, ChaosTrigger, EngineConfig, FaultStrategy, QuokkaSession,
+};
 
 fn session() -> QuokkaSession {
     QuokkaSession::tpch(0.002, 3).expect("generate TPC-H data")
@@ -13,7 +15,7 @@ fn wal_recovers_a_join_query_from_a_midway_failure() {
     let session = session();
     let plan = quokka::tpch::query(3).unwrap();
     let expected = session.run_reference(&plan).unwrap();
-    let config = EngineConfig::quokka(3).with_failure(FailureSpec::halfway(1));
+    let config = EngineConfig::quokka(3).with_chaos(ChaosPlan::kill_at_progress(1, 0.5));
     let outcome = session.run_with(&plan, &config).unwrap();
     assert!(same_result(&expected, &outcome.batch));
     assert_eq!(outcome.metrics.failures, 1);
@@ -28,7 +30,7 @@ fn wal_recovers_at_every_failure_point() {
     let plan = quokka::tpch::query(10).unwrap();
     let expected = session.run_reference(&plan).unwrap();
     for fraction in [0.2, 0.5, 0.8] {
-        let config = EngineConfig::quokka(3).with_failure(FailureSpec::new(2, fraction));
+        let config = EngineConfig::quokka(3).with_chaos(ChaosPlan::kill_at_progress(2, fraction));
         let outcome = session.run_with(&plan, &config).unwrap();
         assert!(same_result(&expected, &outcome.batch), "diverged when failing at {fraction}");
         assert_eq!(outcome.metrics.failures, 1);
@@ -41,7 +43,7 @@ fn wal_recovers_every_worker_identity() {
     let plan = quokka::tpch::query(5).unwrap();
     let expected = session.run_reference(&plan).unwrap();
     for worker in 0..3 {
-        let config = EngineConfig::quokka(3).with_failure(FailureSpec::halfway(worker));
+        let config = EngineConfig::quokka(3).with_chaos(ChaosPlan::kill_at_progress(worker, 0.5));
         let outcome = session.run_with(&plan, &config).unwrap();
         assert!(same_result(&expected, &outcome.batch), "diverged when killing worker {worker}");
     }
@@ -52,7 +54,7 @@ fn wal_recovers_a_multi_join_pipeline() {
     let session = session();
     let plan = quokka::tpch::query(9).unwrap();
     let expected = session.run_reference(&plan).unwrap();
-    let config = EngineConfig::quokka(3).with_failure(FailureSpec::new(0, 0.6));
+    let config = EngineConfig::quokka(3).with_chaos(ChaosPlan::kill_at_progress(0, 0.6));
     let outcome = session.run_with(&plan, &config).unwrap();
     assert!(same_result(&expected, &outcome.batch));
 }
@@ -62,7 +64,7 @@ fn stagewise_mode_also_recovers() {
     let session = session();
     let plan = quokka::tpch::query(3).unwrap();
     let expected = session.run_reference(&plan).unwrap();
-    let config = EngineConfig::sparklike(3).with_failure(FailureSpec::halfway(1));
+    let config = EngineConfig::sparklike(3).with_chaos(ChaosPlan::kill_at_progress(1, 0.5));
     let outcome = session.run_with(&plan, &config).unwrap();
     assert!(same_result(&expected, &outcome.batch));
 }
@@ -74,7 +76,7 @@ fn restart_baseline_reruns_and_still_answers_correctly() {
     let expected = session.run_reference(&plan).unwrap();
     let config = EngineConfig::quokka(3)
         .with_fault(FaultStrategy::None)
-        .with_failure(FailureSpec::new(1, 0.4));
+        .with_chaos(ChaosPlan::kill_at_progress(1, 0.4));
     let outcome = session.run_with(&plan, &config).unwrap();
     assert!(same_result(&expected, &outcome.batch));
     assert_eq!(outcome.metrics.failures, 1);
@@ -86,7 +88,7 @@ fn aggregation_only_queries_survive_failures() {
     for q in [1usize, 6] {
         let plan = quokka::tpch::query(q).unwrap();
         let expected = session.run_reference(&plan).unwrap();
-        let config = EngineConfig::quokka(3).with_failure(FailureSpec::halfway(0));
+        let config = EngineConfig::quokka(3).with_chaos(ChaosPlan::kill_at_progress(0, 0.5));
         let outcome = session.run_with(&plan, &config).unwrap();
         assert!(same_result(&expected, &outcome.batch), "Q{q} diverged after failure");
     }
@@ -97,9 +99,10 @@ fn two_sequential_failures_are_survived() {
     let session = session();
     let plan = quokka::tpch::query(3).unwrap();
     let expected = session.run_reference(&plan).unwrap();
-    let config = EngineConfig::quokka(4)
-        .with_failure(FailureSpec::new(1, 0.3))
-        .with_failure(FailureSpec::new(2, 0.7));
+    let config = EngineConfig::quokka(4).with_chaos(
+        ChaosPlan::kill_at_progress(1, 0.3)
+            .with(ChaosTrigger::Progress(0.7), ChaosEvent::KillWorker { worker: 2 }),
+    );
     let outcome = session.run_with(&plan, &config).unwrap();
     assert!(same_result(&expected, &outcome.batch));
     assert_eq!(outcome.metrics.failures, 2);

@@ -14,7 +14,7 @@ use quokka::plan::expr::{col, lit, Expr};
 use quokka::plan::optimizer::{Optimizer, RULE_NAMES};
 use quokka::plan::Catalog;
 use quokka::{
-    canonical_rows, same_result, Batch, Column, DataType, EngineConfig, FailureSpec, JoinType,
+    canonical_rows, same_result, Batch, ChaosPlan, Column, DataType, EngineConfig, JoinType,
     LogicalPlan, PlanBuilder, QuokkaSession, ScalarValue, Schema,
 };
 
@@ -91,8 +91,9 @@ fn optimized_plans_survive_fault_injection() {
     for q in [3usize, 5, 12] {
         let plan = quokka::tpch::query(q).unwrap();
         let expected = session.run_reference(&plan).unwrap();
-        let config =
-            EngineConfig::quokka(3).with_optimize(true).with_failure(FailureSpec::halfway(1));
+        let config = EngineConfig::quokka(3)
+            .with_optimize(true)
+            .with_chaos(ChaosPlan::kill_at_progress(1, 0.5));
         let outcome = session.run_with(&plan, &config).unwrap();
         assert!(
             same_result(&expected, &outcome.batch),

@@ -19,7 +19,7 @@
 use quokka::plan::Catalog;
 use quokka::tpch::queries::sql::{sql_text, SQL_QUERIES};
 use quokka::{
-    same_result, AdmissionConfig, Batch, ChaosPlan, Column, DataType, EngineConfig, FailureSpec,
+    same_result, AdmissionConfig, Batch, ChaosPlan, Column, DataType, EngineConfig,
     PlanCacheConfig, QuokkaError, QuokkaSession, Schema,
 };
 use std::sync::Arc;
@@ -304,7 +304,7 @@ fn failed_and_recovered_queries_release_their_slots() {
         .with_config(EngineConfig::quokka(3).with_admission(AdmissionConfig::bounded(2, 8)));
     let faulty = EngineConfig::quokka(3)
         .with_admission(AdmissionConfig::bounded(2, 8))
-        .with_failure(FailureSpec::halfway(1));
+        .with_chaos(ChaosPlan::kill_at_progress(1, 0.5));
     let expected = session.tpch_query(12).unwrap().collect_reference().unwrap();
     let outcome = session.sql(sql_text(12).unwrap()).unwrap().collect_with(&faulty).unwrap();
     assert_eq!(outcome.metrics.failures, 1, "the injected failure must fire");

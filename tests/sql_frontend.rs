@@ -66,13 +66,13 @@ fn all_22_sql_queries_parse_bind_optimize_and_match_reference() {
 /// failures (the satellite fault-injection requirement: Q4, Q21, Q22).
 #[test]
 fn decorrelated_sql_queries_survive_fault_injection() {
-    use quokka::{EngineConfig, FailureSpec};
+    use quokka::{ChaosPlan, EngineConfig};
 
     let session = tpch_session();
     for q in [4usize, 21, 22] {
         let handle = session.sql(quokka::tpch::queries::sql::sql_text(q).unwrap()).unwrap();
         let expected = handle.collect_reference().unwrap();
-        let config = EngineConfig::quokka(3).with_failure(FailureSpec::halfway(1));
+        let config = EngineConfig::quokka(3).with_chaos(ChaosPlan::kill_at_progress(1, 0.5));
         let outcome = handle
             .collect_with(&config)
             .unwrap_or_else(|e| panic!("Q{q} failed under fault injection: {e}"));
@@ -231,13 +231,13 @@ fn explain_prints_plans_instead_of_executing() {
 
 #[test]
 fn sql_runs_under_fault_injection() {
-    use quokka::{EngineConfig, FailureSpec};
+    use quokka::{ChaosPlan, EngineConfig};
 
     let session = tpch_session();
     let handle = session.sql(quokka::tpch::queries::sql::sql_text(6).unwrap()).unwrap();
     let expected = handle.collect_reference().unwrap();
     // Kill a worker mid-query; recovery must still produce the right rows.
-    let config = EngineConfig::quokka(3).with_failure(FailureSpec::halfway(1));
+    let config = EngineConfig::quokka(3).with_chaos(ChaosPlan::kill_at_progress(1, 0.5));
     let outcome = handle.collect_with(&config).unwrap();
     assert!(same_result(&outcome.batch, &expected));
 }

@@ -5,8 +5,8 @@
 
 use quokka::dataframe::{col, lit};
 use quokka::{
-    same_result, Batch, Column, CostModelConfig, DataType, EngineConfig, FailureSpec,
-    FaultStrategy, QuokkaSession, Schema,
+    same_result, Batch, ChaosPlan, Column, CostModelConfig, DataType, EngineConfig, FaultStrategy,
+    QuokkaSession, Schema,
 };
 
 /// A session whose `events` table has many input splits, so the scan-shaped
@@ -122,8 +122,8 @@ fn streaming_deduplicates_replayed_sink_partitions_under_failure() {
     // Kill a worker halfway; write-ahead-lineage recovery rewinds channels
     // and replays sink emissions under their original task names. The
     // stream must not double-deliver them.
-    let session =
-        session(3).with_config(EngineConfig::quokka(3).with_failure(FailureSpec::new(1, 0.4)));
+    let session = session(3)
+        .with_config(EngineConfig::quokka(3).with_chaos(ChaosPlan::kill_at_progress(1, 0.4)));
     let frame = scan_query(&session);
     let expected = frame.collect_reference().unwrap();
 
@@ -140,7 +140,7 @@ fn streaming_deduplicates_replayed_sink_partitions_under_failure() {
 fn restart_baseline_collects_but_refuses_mid_stream_restart() {
     let config = EngineConfig::quokka(3)
         .with_fault(FaultStrategy::None)
-        .with_failure(FailureSpec::new(1, 0.3));
+        .with_chaos(ChaosPlan::kill_at_progress(1, 0.3));
     let session = session(3).with_config(config);
     let frame = scan_query(&session);
     let expected = frame.collect_reference().unwrap();

@@ -4,9 +4,7 @@
 //! transport, and the fault-tolerance machinery must recover identically
 //! when shuffle traffic travels over the wire.
 
-use quokka::{
-    same_result, EngineConfig, FailureSpec, QuokkaSession, TransportConfig, TransportKind,
-};
+use quokka::{same_result, ChaosPlan, EngineConfig, QuokkaSession, TransportConfig, TransportKind};
 
 fn session() -> QuokkaSession {
     QuokkaSession::tpch(0.002, 3).expect("generate TPC-H data")
@@ -71,7 +69,7 @@ fn worker_failure_recovers_exactly_over_tcp() {
     let plan = quokka::tpch::query(10).unwrap();
     let expected = session.run_reference(&plan).unwrap();
     for fraction in [0.3, 0.7] {
-        let config = tcp(3).with_failure(FailureSpec::new(1, fraction));
+        let config = tcp(3).with_chaos(ChaosPlan::kill_at_progress(1, fraction));
         let outcome = session.run_with(&plan, &config).unwrap();
         assert!(
             same_result(&expected, &outcome.batch),
