@@ -71,6 +71,12 @@ impl Batch {
         &self.columns
     }
 
+    /// Give up the batch and keep its columns, so callers can move them
+    /// into another batch instead of cloning them.
+    pub fn into_columns(self) -> Vec<Column> {
+        self.columns
+    }
+
     pub fn column(&self, index: usize) -> &Column {
         &self.columns[index]
     }

@@ -28,7 +28,8 @@
 //! (default 3), `QUOKKA_BENCH_OUT` (default `BENCH_serving.json`).
 
 use quokka::{
-    same_result, AdmissionConfig, Batch, EngineConfig, PlanCacheConfig, QuokkaError, QuokkaSession,
+    results_match, AdmissionConfig, Batch, EngineConfig, PlanCacheConfig, QuokkaError,
+    QuokkaSession,
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -143,7 +144,7 @@ fn run_phase(
                             t.send_queue_peak = t
                                 .send_queue_peak
                                 .max(peers.iter().map(|p| p.send_queue_peak).max().unwrap_or(0));
-                            if !same_result(&outcome.batch, &expected[&number]) {
+                            if !results_match(&outcome.batch, &expected[&number]) {
                                 t.divergences += 1;
                             }
                         }

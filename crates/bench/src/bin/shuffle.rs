@@ -15,15 +15,18 @@
 //! Results go to `BENCH_shuffle.json`. The run **fails** (non-zero exit) if
 //! the optimized plan of any gated query (Q3, Q5, Q9 — the join-heavy
 //! representatives) does not shuffle strictly fewer bytes than its
-//! unoptimized twin, or if the two plans ever disagree on the result rows.
+//! unoptimized twin, if the two plans ever disagree on the result rows, or
+//! if the optimized raw bytes of Q1 (aggregation-bound) and Q13 (a column
+//! only a filter reads) are not at least halved against the engine before
+//! partial aggregation and dead-column pruning.
 //!
 //! Run with: `cargo run --release -p quokka-bench --bin shuffle`
 //!
 //! Environment knobs: `QUOKKA_SF` (default 0.01), `QUOKKA_WORKERS` (default
-//! 4), `QUOKKA_QUERIES` (default 1,3,4,5,6,9,10,12,21), `QUOKKA_BENCH_OUT`
+//! 4), `QUOKKA_QUERIES` (default 1,3,4,5,6,9,10,12,13,21), `QUOKKA_BENCH_OUT`
 //! (default `BENCH_shuffle.json`).
 
-use quokka::{same_result, EngineConfig, QuokkaSession};
+use quokka::{results_match, EngineConfig, QuokkaSession};
 
 /// Queries whose shuffle volume must strictly shrink under optimization.
 const GATED: [usize; 3] = [3, 5, 9];
@@ -32,6 +35,12 @@ const GATED: [usize; 3] = [3, 5, 9];
 /// (the committed `BENCH_shuffle.json` of the plain-column engine). The
 /// encoded engine must push at least 30% fewer bytes on each of these.
 const PRE_ENCODING: [(usize, u64); 3] = [(1, 1_969_832), (3, 895_188), (9, 3_956_769)];
+
+/// Optimized raw (decoded) shuffle bytes at SF 0.01 on 4 workers before
+/// map-side partial aggregation and dead-column pruning: every filtered
+/// lineitem row of Q1 crossed the shuffle, and Q13 carried `o_comment`
+/// through two shuffles after its filter. The engine must ship at most half.
+const PRE_PARTIAL_AGGREGATION: [(usize, u64); 2] = [(1, 1_969_832), (13, 2_468_458)];
 
 struct Entry {
     query: usize,
@@ -70,7 +79,7 @@ fn env_u32(name: &str, default: u32) -> u32 {
 fn main() {
     let scale_factor = env_f64("QUOKKA_SF", 0.01);
     let workers = env_u32("QUOKKA_WORKERS", 4);
-    let queries = quokka_bench::queries_from_env(&[1, 3, 4, 5, 6, 9, 10, 12, 21]);
+    let queries = quokka_bench::queries_from_env(&[1, 3, 4, 5, 6, 9, 10, 12, 13, 21]);
     let out_path =
         std::env::var("QUOKKA_BENCH_OUT").unwrap_or_else(|_| "BENCH_shuffle.json".to_string());
 
@@ -86,7 +95,7 @@ fn main() {
         let naive = session.run_with(&plan, &naive_config).expect("unoptimized run");
         let optimized = session.run_with(&plan, &optimized_config).expect("optimized run");
         assert!(
-            same_result(&naive.batch, &optimized.batch),
+            results_match(&naive.batch, &optimized.batch),
             "Q{q}: optimized and unoptimized plans disagree on the result"
         );
         let peers = &optimized.metrics.transport_peers;
@@ -191,4 +200,22 @@ fn main() {
     eprintln!(
         "[shuffle] gate passed: encoded Q1/Q3/Q9 shuffles are >=30% below pre-encoding volumes"
     );
+
+    // Partial-aggregation and pruning gate, on raw bytes so that encoding
+    // changes cannot move it. Same vacuous-pass rule as above.
+    for (q, before) in PRE_PARTIAL_AGGREGATION {
+        let e = entries.iter().find(|e| e.query == q).unwrap_or_else(|| {
+            panic!(
+                "Q{q} is gated on raw shuffle bytes but was not run; include it in QUOKKA_QUERIES"
+            )
+        });
+        assert!(
+            e.optimized_raw_bytes <= before / 2,
+            "Q{q}: optimized raw shuffle bytes {} exceed half of the {} shipped before \
+             partial aggregation and pruning",
+            e.optimized_raw_bytes,
+            before
+        );
+    }
+    eprintln!("[shuffle] gate passed: Q1/Q13 raw shuffle bytes are at least halved");
 }

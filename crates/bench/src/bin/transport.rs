@@ -28,7 +28,7 @@ use quokka::batch::{Batch, Column, DataType, Schema};
 use quokka::common::{ChannelAddr, MetricsRegistry, TransportConfig};
 use quokka::net::DataPlane;
 use quokka::storage::CostModel;
-use quokka::{same_result, CostModelConfig, EngineConfig, QuokkaSession};
+use quokka::{results_match, CostModelConfig, EngineConfig, QuokkaSession};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -125,7 +125,7 @@ fn run_micro(
             .unwrap_or_else(|| panic!("{label}: slice {seq} missing from inbox"));
         let want = slice(seq, rows);
         assert!(
-            got.len() == 1 && same_result(&want, &got[0]),
+            got.len() == 1 && results_match(&want, &got[0]),
             "{label}: slice {seq} corrupted in flight"
         );
     }
@@ -171,7 +171,7 @@ fn main() {
             let outcome = session.run_with(&plan, &config).expect("distributed run");
             let seconds = start.elapsed().as_secs_f64();
             assert!(
-                same_result(&expected, &outcome.batch),
+                results_match(&expected, &outcome.batch),
                 "Q{q} under {label} diverged from the reference executor"
             );
             eprintln!(

@@ -321,7 +321,7 @@ mod tests {
     use quokka_plan::catalog::MemoryCatalog;
     use quokka_plan::expr::{col, lit};
     use quokka_plan::logical::{JoinType, PlanBuilder};
-    use quokka_plan::reference::{same_result, ReferenceExecutor};
+    use quokka_plan::reference::{results_match, ReferenceExecutor};
 
     /// A small synthetic catalog: a fact table and a dimension table, split
     /// into several batches so scans produce multiple input partitions.
@@ -377,7 +377,7 @@ mod tests {
         let expected = ReferenceExecutor::new(&catalog).execute(&plan).unwrap();
         let outcome = QueryRunner::new(config).run(&plan, &catalog).unwrap();
         assert!(
-            same_result(&expected, &outcome.batch),
+            results_match(&expected, &outcome.batch),
             "distributed result diverged from the reference\nexpected: {expected:?}\nactual: {:?}",
             outcome.batch
         );
@@ -421,7 +421,7 @@ mod tests {
         let plan = join_plan();
         let expected = ReferenceExecutor::new(&catalog).execute(&plan).unwrap();
         let outcome = QueryRunner::new(EngineConfig::trinolike(3)).run(&plan, &catalog).unwrap();
-        assert!(same_result(&expected, &outcome.batch));
+        assert!(results_match(&expected, &outcome.batch));
         assert!(outcome.metrics.durable_bytes > 0, "spooling must write durable bytes");
         assert_eq!(outcome.metrics.backup_bytes, 0, "spooling does not use local backup");
     }
@@ -452,7 +452,7 @@ mod tests {
         let config = EngineConfig::quokka(3).with_chaos(ChaosPlan::kill_holding_state(1));
         let outcome = QueryRunner::new(config).run(&plan, &catalog).unwrap();
         assert!(
-            same_result(&expected, &outcome.batch),
+            results_match(&expected, &outcome.batch),
             "result after fault recovery diverged\nexpected: {expected:?}\nactual: {:?}",
             outcome.batch
         );
@@ -469,7 +469,7 @@ mod tests {
             .with_fault(FaultStrategy::None)
             .with_chaos(ChaosPlan::kill_at_progress(2, 0.3));
         let outcome = QueryRunner::new(config).run(&plan, &catalog).unwrap();
-        assert!(same_result(&expected, &outcome.batch));
+        assert!(results_match(&expected, &outcome.batch));
         assert_eq!(outcome.metrics.failures, 1);
     }
 
@@ -480,7 +480,7 @@ mod tests {
         let expected = ReferenceExecutor::new(&catalog).execute(&plan).unwrap();
         let config = EngineConfig::sparklike(3).with_chaos(ChaosPlan::kill_at_progress(0, 0.5));
         let outcome = QueryRunner::new(config).run(&plan, &catalog).unwrap();
-        assert!(same_result(&expected, &outcome.batch));
+        assert!(results_match(&expected, &outcome.batch));
     }
 
     #[test]
@@ -495,7 +495,7 @@ mod tests {
             .unwrap();
         let expected = ReferenceExecutor::new(&catalog).execute(&plan).unwrap();
         let outcome = QueryRunner::new(EngineConfig::quokka(2)).run(&plan, &catalog).unwrap();
-        assert!(same_result(&expected, &outcome.batch));
+        assert!(results_match(&expected, &outcome.batch));
     }
 
     #[test]
@@ -518,6 +518,6 @@ mod tests {
             QueryRunner::new(EngineConfig::quokka(3).with_mode(ExecutionMode::Stagewise))
                 .run(&plan, &catalog)
                 .unwrap();
-        assert!(same_result(&pipelined.batch, &stagewise.batch));
+        assert!(results_match(&pipelined.batch, &stagewise.batch));
     }
 }

@@ -9,7 +9,7 @@
 //!   operator uses: one typed vector per aggregate, indexed by dense group
 //!   id, updated a batch at a time with no per-row `ScalarValue`.
 
-use crate::expr::Expr;
+use crate::expr::{col, lit, Expr};
 use quokka_batch::datatype::{DataType, ScalarValue};
 use quokka_batch::{Column, Schema};
 use quokka_common::{QuokkaError, Result};
@@ -77,6 +77,65 @@ pub fn count(expr: Expr, alias: &str) -> AggExpr {
 }
 pub fn count_distinct(expr: Expr, alias: &str) -> AggExpr {
     AggExpr::new(AggFunc::CountDistinct, expr, alias)
+}
+
+/// An aggregation split into two phases (eager aggregation: Yan & Larson,
+/// "Eager Aggregation and Lazy Aggregation", VLDB 1995). The stage feeding
+/// the aggregate folds each output batch into [`partial`](Self::partial)
+/// states keyed by the evaluated group keys, so it ships one row per group
+/// instead of every input row; the aggregate stage [`merge`](Self::merge)s
+/// those states.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TwoPhase {
+    /// The partial aggregates: SUM, MIN and MAX as written, COUNT as a
+    /// count, AVG as a sum (`<alias>#sum`) plus a count (`<alias>#count`).
+    pub partial: Vec<AggExpr>,
+    /// One merge per partial column, named after it: the SUM of sums and of
+    /// counts, the MIN of minima and the MAX of maxima.
+    pub merge: Vec<AggExpr>,
+    /// The projection from merged states to the original output columns
+    /// when the two differ, which only AVG needs: sum / count, and 0.0 over
+    /// no rows as in the single-phase aggregate.
+    pub finish: Option<Vec<(Expr, String)>>,
+}
+
+impl TwoPhase {
+    /// Split an aggregation with group keys named `keys`; `None` when some
+    /// aggregate has no mergeable partial state (COUNT DISTINCT).
+    pub fn split(keys: &[String], aggregates: &[AggExpr]) -> Option<TwoPhase> {
+        let mut partial = Vec::with_capacity(aggregates.len());
+        let mut merge = Vec::with_capacity(aggregates.len());
+        let mut finish: Vec<(Expr, String)> =
+            keys.iter().map(|name| (col(name), name.clone())).collect();
+        let mut averages = false;
+        for agg in aggregates {
+            let alias = &agg.alias;
+            match agg.func {
+                AggFunc::CountDistinct => return None,
+                AggFunc::Avg => {
+                    let (sum_name, count_name) = (format!("{alias}#sum"), format!("{alias}#count"));
+                    partial.push(sum(agg.expr.clone(), &sum_name));
+                    partial.push(count(agg.expr.clone(), &count_name));
+                    merge.push(sum(col(&sum_name), &sum_name));
+                    merge.push(sum(col(&count_name), &count_name));
+                    let mean = Expr::case_when(
+                        col(&count_name).eq(lit(0i64)),
+                        lit(0.0f64),
+                        col(&sum_name).div(col(&count_name)),
+                    );
+                    finish.push((mean, alias.clone()));
+                    averages = true;
+                }
+                func => {
+                    partial.push(agg.clone());
+                    let merged = if func == AggFunc::Count { AggFunc::Sum } else { func };
+                    merge.push(AggExpr::new(merged, col(alias), alias));
+                    finish.push((col(alias), alias.clone()));
+                }
+            }
+        }
+        Some(TwoPhase { partial, merge, finish: averages.then_some(finish) })
+    }
 }
 
 /// Running state of one aggregate for one group.

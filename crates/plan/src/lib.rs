@@ -12,7 +12,7 @@
 //! * [`optimizer`] — the rule-based logical optimizer both frontends flow
 //!   through: constant folding, filter merging, predicate pushdown,
 //!   filter-to-join conversion, build-side selection from catalog row
-//!   counts, top-k pushdown, and scan-column pruning.
+//!   counts, top-k pushdown, and column pruning.
 //! * [`physical`] — stateful stage operators (filter/project, hash join,
 //!   hash aggregate, sort/top-k, limit) implementing the channel state
 //!   variables of the paper's execution model (Fig. 1).

@@ -47,7 +47,10 @@
 //! 6. **Top-k pushdown** — `Limit` over `Sort` becomes a top-k sort.
 //! 7. **Projection pruning** — scans are narrowed to the columns the rest of
 //!    the plan actually references (re-derived *after* pushdown, so pushed
-//!    predicates keep their columns alive at the scan but nowhere above it).
+//!    predicates keep their columns alive at the scan but nowhere above it),
+//!    and filters and joins get a projection onto the columns their parent
+//!    reads, so a column only a predicate or a join key needs is dropped in
+//!    that node's stage instead of shuffled onward.
 
 use crate::catalog::Catalog;
 use crate::expr::{CmpOpKind, Expr};
@@ -920,8 +923,9 @@ fn push_down_topk(plan: LogicalPlan) -> Result<LogicalPlan> {
 
 // -- rule 7: projection pruning ----------------------------------------------
 
-/// Narrow every scan to the columns required above it. `required` is the set
-/// of output column names the parent needs from `plan`.
+/// Narrow every scan to the columns required above it, and every filter and
+/// join whose output carries more with a projection on top. `required` is
+/// the set of output column names the parent needs from `plan`.
 fn prune_scan_columns(plan: LogicalPlan, required: &BTreeSet<String>) -> Result<LogicalPlan> {
     Ok(match plan {
         LogicalPlan::Scan { table, schema } => {
@@ -937,7 +941,8 @@ fn prune_scan_columns(plan: LogicalPlan, required: &BTreeSet<String>) -> Result<
         LogicalPlan::Filter { input, predicate } => {
             let mut child = required.clone();
             child.extend(predicate.referenced_columns());
-            LogicalPlan::Filter { input: Box::new(prune_scan_columns(*input, &child)?), predicate }
+            let input = Box::new(prune_scan_columns(*input, &child)?);
+            select_required(LogicalPlan::Filter { input, predicate }, required)?
         }
         LogicalPlan::Project { input, exprs } => {
             // Drop expressions nothing above needs (at the root, `required`
@@ -979,12 +984,13 @@ fn prune_scan_columns(plan: LogicalPlan, required: &BTreeSet<String>) -> Result<
             } else {
                 probe_req.extend(required.iter().cloned());
             }
-            LogicalPlan::Join {
+            let join = LogicalPlan::Join {
                 build: Box::new(prune_scan_columns(*build, &build_req)?),
                 probe: Box::new(prune_scan_columns(*probe, &probe_req)?),
                 on,
                 join_type,
-            }
+            };
+            select_required(join, required)?
         }
         LogicalPlan::Aggregate { input, group_by, aggregates } => {
             let mut child = BTreeSet::new();
@@ -1014,6 +1020,28 @@ fn prune_scan_columns(plan: LogicalPlan, required: &BTreeSet<String>) -> Result<
     })
 }
 
+/// Put a projection onto the `required` columns above `plan` when its
+/// output carries others, so a column only a filter or a join key reads
+/// stops there instead of riding the shuffles above (stage compilation fuses
+/// the projection into the node's stage). Left alone when the output names
+/// are not distinct, since a projection selects by name.
+fn select_required(plan: LogicalPlan, required: &BTreeSet<String>) -> Result<LogicalPlan> {
+    let schema = plan.schema()?;
+    let names = schema.column_names();
+    let distinct = names.iter().collect::<BTreeSet<_>>().len() == names.len();
+    let mut kept: Vec<&str> = names.iter().copied().filter(|n| required.contains(*n)).collect();
+    if kept.is_empty() {
+        // Nothing above reads a column (e.g. COUNT(*)); keep one so batches
+        // still carry row counts.
+        kept.push(names[0]);
+    }
+    if !distinct || kept.len() == names.len() {
+        return Ok(plan);
+    }
+    let exprs = kept.iter().map(|n| (Expr::Column(n.to_string()), n.to_string())).collect();
+    Ok(LogicalPlan::Project { input: Box::new(plan), exprs })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1021,7 +1049,7 @@ mod tests {
     use crate::catalog::MemoryCatalog;
     use crate::expr::{col, lit};
     use crate::logical::PlanBuilder;
-    use crate::reference::{same_result, ReferenceExecutor};
+    use crate::reference::{results_match, ReferenceExecutor};
     use quokka_batch::{Batch, Column, DataType};
 
     /// A small two-table catalog: a wide fact table and a narrow dim table.
@@ -1079,7 +1107,7 @@ mod tests {
         let naive = exec.execute(plan).unwrap();
         let rewritten = exec.execute(&optimized).unwrap();
         assert!(
-            same_result(&naive, &rewritten),
+            results_match(&naive, &rewritten),
             "optimized plan diverged\nnaive:\n{}\noptimized:\n{}",
             plan.display_indent(),
             optimized.display_indent()
@@ -1406,7 +1434,7 @@ mod tests {
             .build()
             .unwrap();
         let exec = ReferenceExecutor::new(&catalog);
-        assert!(same_result(&exec.execute(&lowered).unwrap(), &exec.execute(&twin).unwrap()));
+        assert!(results_match(&exec.execute(&lowered).unwrap(), &exec.execute(&twin).unwrap()));
         // The full pipeline accepts the subquery plan end to end.
         optimize_checked(&catalog, &plan);
     }
@@ -1436,7 +1464,7 @@ mod tests {
             .build()
             .unwrap();
         let exec = ReferenceExecutor::new(&catalog);
-        assert!(same_result(&exec.execute(&lowered).unwrap(), &exec.execute(&twin).unwrap()));
+        assert!(results_match(&exec.execute(&lowered).unwrap(), &exec.execute(&twin).unwrap()));
     }
 
     /// `d_key IN (SELECT f_key FROM fact WHERE f_val > 10)`.
@@ -1506,7 +1534,7 @@ mod tests {
             .build()
             .unwrap();
         let exec = ReferenceExecutor::new(&catalog);
-        assert!(same_result(&exec.execute(&lowered).unwrap(), &exec.execute(&twin).unwrap()));
+        assert!(results_match(&exec.execute(&lowered).unwrap(), &exec.execute(&twin).unwrap()));
         optimize_checked(&catalog, &plan);
     }
 
@@ -1553,7 +1581,7 @@ mod tests {
             .build()
             .unwrap();
         let exec = ReferenceExecutor::new(&catalog);
-        assert!(same_result(&exec.execute(&lowered).unwrap(), &exec.execute(&twin).unwrap()));
+        assert!(results_match(&exec.execute(&lowered).unwrap(), &exec.execute(&twin).unwrap()));
         optimize_checked(&catalog, &plan);
     }
 
@@ -1650,6 +1678,6 @@ mod tests {
         let direct = exec.execute(&plan).unwrap();
         let lowered = decorrelate(plan.clone()).unwrap();
         assert!(!contains_subqueries(&lowered));
-        assert!(same_result(&direct, &exec.execute(&lowered).unwrap()));
+        assert!(results_match(&direct, &exec.execute(&lowered).unwrap()));
     }
 }

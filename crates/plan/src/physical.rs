@@ -12,24 +12,32 @@
 //! state variable itself is never persisted — that is the whole point of
 //! write-ahead lineage).
 
-use crate::aggregate::{AggExpr, AggState};
-use crate::expr::Expr;
+use crate::aggregate::{AggExpr, AggFunc, AggState};
+use crate::expr::{lit, Expr};
 use crate::logical::JoinType;
 use quokka_batch::compute::{self, SortKey};
 use quokka_batch::datatype::DataType;
 use quokka_batch::rowkey::{self, EncodedKeys, KeyLayout, KeyMap};
 use quokka_batch::{Batch, Column, Schema};
 use quokka_common::{QuokkaError, Result};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// A stateless row transformation applied inside a stage.
+/// A row transformation applied inside a stage, to the output of its core
+/// operator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Transform {
     /// Keep rows satisfying the predicate.
     Filter(Expr),
     /// Compute named expressions.
     Project(Vec<(Expr, String)>),
+    /// The map-side half of a two-phase aggregation: evaluate the group keys
+    /// and fold each batch into one partial state per group (see
+    /// [`TwoPhase`](crate::aggregate::TwoPhase)). The stage compiler appends
+    /// it as the last transform of the stage that feeds an aggregate; it
+    /// keeps no state between batches.
+    PartialAggregate { group_by: Vec<(Expr, String)>, aggregates: Vec<AggExpr> },
 }
 
 impl Transform {
@@ -37,44 +45,101 @@ impl Transform {
     pub fn output_schema(&self, input: &Schema) -> Result<Schema> {
         match self {
             Transform::Filter(_) => Ok(input.clone()),
-            Transform::Project(exprs) => {
-                let fields = exprs
-                    .iter()
-                    .map(|(e, name)| {
-                        Ok(quokka_batch::Field::new(name.clone(), e.data_type(input)?))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(Schema::new(fields))
+            Transform::Project(exprs) => project_schema(input, exprs),
+            Transform::PartialAggregate { group_by, aggregates } => {
+                aggregate_schema(input, group_by, aggregates)
             }
         }
     }
 
-    /// Apply this transform to a batch.
-    pub fn apply(&self, batch: &Batch) -> Result<Batch> {
+    /// Apply this transform to a batch. The batch moves through: a filter
+    /// that keeps every row returns it unchanged, and a projection moves the
+    /// columns it selects instead of copying them.
+    pub fn apply(&self, batch: Batch) -> Result<Batch> {
         match self {
             Transform::Filter(predicate) => {
-                let mask = predicate.evaluate_mask(batch)?;
-                batch.filter(&mask)
+                let mask = predicate.evaluate(&batch)?;
+                let mask = mask.as_bool()?;
+                if mask.iter().all(|&keep| keep) {
+                    Ok(batch)
+                } else {
+                    batch.filter(mask)
+                }
             }
-            Transform::Project(exprs) => {
-                let schema = self.output_schema(batch.schema())?;
-                let columns = exprs
-                    .iter()
-                    .map(|(e, _)| e.evaluate(batch))
-                    .collect::<Result<Vec<Column>>>()?;
-                Batch::try_new(schema, columns)
-            }
+            Transform::Project(exprs) => project(batch, exprs),
+            Transform::PartialAggregate { group_by, aggregates } => PartialAggregator::new(
+                batch.schema().clone(),
+                group_by.clone(),
+                aggregates.clone(),
+            )?
+            .apply(batch),
         }
     }
 }
 
-/// Apply a chain of transforms.
-pub fn apply_transforms(batch: &Batch, transforms: &[Transform]) -> Result<Batch> {
-    let mut current = batch.clone();
-    for t in transforms {
-        current = t.apply(&current)?;
+fn project_schema(input: &Schema, exprs: &[(Expr, String)]) -> Result<Schema> {
+    let fields = exprs
+        .iter()
+        .map(|(e, name)| Ok(quokka_batch::Field::new(name.clone(), e.data_type(input)?)))
+        .collect::<Result<Vec<_>>>()?;
+    Ok(Schema::new(fields))
+}
+
+/// Evaluate a projection, moving every selected column out of `batch`.
+fn project(batch: Batch, exprs: &[(Expr, String)]) -> Result<Batch> {
+    let schema = project_schema(batch.schema(), exprs)?;
+    // Computed expressions read the intact batch first.
+    let mut columns = exprs
+        .iter()
+        .map(|(e, _)| match e {
+            Expr::Column(_) => Ok(None),
+            computed => computed.evaluate(&batch).map(Some),
+        })
+        .collect::<Result<Vec<Option<Column>>>>()?;
+    let sources = exprs
+        .iter()
+        .map(|(e, _)| match e {
+            Expr::Column(name) => batch.schema().index_of(name).map(Some),
+            _ => Ok(None),
+        })
+        .collect::<Result<Vec<Option<usize>>>>()?;
+    let mut owned: Vec<Option<Column>> = batch.into_columns().into_iter().map(Some).collect();
+    for (i, source) in sources.iter().enumerate() {
+        if let Some(index) = *source {
+            // A column selected again further on is cloned; its last use
+            // moves it.
+            columns[i] = if sources[i + 1..].contains(source) {
+                owned[index].clone()
+            } else {
+                owned[index].take()
+            };
+        }
     }
-    Ok(current)
+    let columns = columns
+        .into_iter()
+        .collect::<Option<Vec<Column>>>()
+        .ok_or_else(|| QuokkaError::internal("projection lost a column"))?;
+    Batch::try_new(schema, columns)
+}
+
+/// Apply a chain of transforms, moving the batch from one to the next.
+pub fn apply_transforms(batch: Batch, transforms: &[Transform]) -> Result<Batch> {
+    transforms.iter().try_fold(batch, |current, t| t.apply(current))
+}
+
+/// Output schema of an aggregation: the group keys, then the aggregates.
+fn aggregate_schema(
+    input: &Schema,
+    group_by: &[(Expr, String)],
+    aggregates: &[AggExpr],
+) -> Result<Schema> {
+    let keys = group_by.iter().map(|(expr, name)| Ok((name, expr.data_type(input)?)));
+    let aggs = aggregates.iter().map(|agg| Ok((&agg.alias, agg.data_type(input)?)));
+    let fields = keys
+        .chain(aggs)
+        .map(|field| field.map(|(name, t)| quokka_batch::Field::new(name.clone(), t)))
+        .collect::<Result<Vec<_>>>()?;
+    Ok(Schema::new(fields))
 }
 
 /// Output schema after a chain of transforms.
@@ -119,20 +184,7 @@ impl CoreOp {
                 JoinType::Inner | JoinType::Left => Ok(build_schema.join(probe_schema)),
             },
             CoreOp::HashAggregate { input_schema, group_by, aggregates } => {
-                let mut fields = Vec::new();
-                for (expr, name) in group_by {
-                    fields.push(quokka_batch::Field::new(
-                        name.clone(),
-                        expr.data_type(input_schema)?,
-                    ));
-                }
-                for agg in aggregates {
-                    fields.push(quokka_batch::Field::new(
-                        agg.alias.clone(),
-                        agg.data_type(input_schema)?,
-                    ));
-                }
-                Ok(Schema::new(fields))
+                aggregate_schema(input_schema, group_by, aggregates)
             }
             CoreOp::Sort { input_schema, .. } | CoreOp::Limit { input_schema, .. } => {
                 Ok(input_schema.clone())
@@ -213,14 +265,25 @@ impl OperatorSpec {
             }
         };
         if self.post.is_empty() {
-            Ok(core)
-        } else {
-            Ok(Box::new(PostTransformOperator {
-                schema: self.output_schema()?,
-                inner: core,
-                post: self.post.clone(),
-            }))
+            return Ok(core);
         }
+        // A trailing partial aggregate gets one aggregator per channel,
+        // reused for every batch.
+        let mut post = self.post.clone();
+        let partial = match self.post.last() {
+            Some(Transform::PartialAggregate { group_by, aggregates }) => {
+                post.pop();
+                let input = transforms_schema(&self.core.output_schema()?, &post)?;
+                Some(PartialAggregator::new(input, group_by.clone(), aggregates.clone())?)
+            }
+            _ => None,
+        };
+        Ok(Box::new(PostTransformOperator {
+            schema: self.output_schema()?,
+            inner: core,
+            post,
+            partial,
+        }))
     }
 }
 
@@ -283,11 +346,22 @@ struct PostTransformOperator {
     schema: Schema,
     inner: Box<dyn StageOperator>,
     post: Vec<Transform>,
+    /// The chain's trailing [`Transform::PartialAggregate`], if any.
+    partial: Option<PartialAggregator>,
 }
 
 impl PostTransformOperator {
-    fn map(&self, batches: Vec<Batch>) -> Result<Vec<Batch>> {
-        batches.iter().map(|b| apply_transforms(b, &self.post)).collect()
+    fn map(&mut self, batches: Vec<Batch>) -> Result<Vec<Batch>> {
+        batches
+            .into_iter()
+            .map(|batch| {
+                let batch = apply_transforms(batch, &self.post)?;
+                match &mut self.partial {
+                    Some(partial) => partial.apply(batch),
+                    None => Ok(batch),
+                }
+            })
+            .collect()
     }
 }
 
@@ -533,11 +607,8 @@ impl HashJoinOperator {
             .build_side
             .as_ref()
             .ok_or_else(|| QuokkaError::internal("probe before the build side was sealed"))?;
-        let build_taken = build.take(build_rows)?;
-        let probe_taken = probe.take(probe_rows)?;
-        let mut columns: Vec<Column> = Vec::with_capacity(self.output.len());
-        columns.extend(build_taken.columns().iter().cloned());
-        columns.extend(probe_taken.columns().iter().cloned());
+        let mut columns = build.take(build_rows)?.into_columns();
+        columns.extend(probe.take(probe_rows)?.into_columns());
         Batch::try_new(self.output.clone(), columns)
     }
 
@@ -547,8 +618,7 @@ impl HashJoinOperator {
         for field in self.build_schema.fields() {
             columns.push(Column::default_of(field.data_type, probe_rows.len()));
         }
-        let probe_taken = probe.take(probe_rows)?;
-        columns.extend(probe_taken.columns().iter().cloned());
+        columns.extend(probe.take(probe_rows)?.into_columns());
         Batch::try_new(self.output.clone(), columns)
     }
 }
@@ -657,12 +727,7 @@ impl HashAggregateOperator {
         group_by: Vec<(Expr, String)>,
         aggregates: Vec<AggExpr>,
     ) -> Result<Self> {
-        let core = CoreOp::HashAggregate {
-            input_schema: input_schema.clone(),
-            group_by: group_by.clone(),
-            aggregates: aggregates.clone(),
-        };
-        let output = core.output_schema()?;
+        let output = aggregate_schema(&input_schema, &group_by, &aggregates)?;
         let agg_input_types = aggregates
             .iter()
             .map(|a| a.expr.data_type(&input_schema))
@@ -694,15 +759,14 @@ impl HashAggregateOperator {
 
     /// Dense group id for every row, creating groups (and materializing
     /// their key values) for keys seen for the first time.
-    fn intern_groups(&mut self, group_columns: &[Column], rows: usize) -> Result<Vec<u32>> {
+    fn intern_groups(&mut self, group_columns: &[&Column], rows: usize) -> Result<Vec<u32>> {
         if self.global {
             return Ok(vec![0; rows]);
         }
         if let [Column::Dict(d)] = group_columns {
             return self.intern_dict_groups(d, rows);
         }
-        let column_refs: Vec<&Column> = group_columns.iter().collect();
-        let keys = rowkey::encode_keys(&column_refs, self.layout)?;
+        let keys = rowkey::encode_keys(group_columns, self.layout)?;
         let mut group_ids = Vec::with_capacity(rows);
         for row in 0..rows {
             let next = self.table.len() as u32;
@@ -781,14 +845,15 @@ impl StageOperator for HashAggregateOperator {
         let group_columns = self
             .group_by
             .iter()
-            .map(|(e, _)| e.evaluate(batch))
-            .collect::<Result<Vec<Column>>>()?;
+            .map(|(e, _)| evaluate_borrowed(e, batch))
+            .collect::<Result<Vec<_>>>()?;
         let agg_columns = self
             .aggregates
             .iter()
-            .map(|a| a.expr.evaluate(batch))
-            .collect::<Result<Vec<Column>>>()?;
-        let group_ids = self.intern_groups(&group_columns, batch.num_rows())?;
+            .map(|a| evaluate_borrowed(&a.expr, batch))
+            .collect::<Result<Vec<_>>>()?;
+        let group_refs: Vec<&Column> = group_columns.iter().map(AsRef::as_ref).collect();
+        let group_ids = self.intern_groups(&group_refs, batch.num_rows())?;
         let num_groups = if self.global { 1 } else { self.table.len() };
         for (state, column) in self.states.iter_mut().zip(&agg_columns) {
             state.update_batch(column, &group_ids, num_groups)?;
@@ -847,6 +912,8 @@ impl StageOperator for HashAggregateOperator {
 
     fn reset(&mut self) {
         self.table.clear();
+        // The lookup table caches group ids of the table just cleared.
+        self.dict_lut = None;
         for builder in &mut self.key_values {
             *builder = Column::empty(builder.data_type());
         }
@@ -858,6 +925,102 @@ impl StageOperator for HashAggregateOperator {
             .collect();
         self.states = states;
     }
+}
+
+/// Evaluate `expr` over `batch`, borrowing the column a plain column
+/// reference names instead of copying it.
+fn evaluate_borrowed<'b>(expr: &Expr, batch: &'b Batch) -> Result<Cow<'b, Column>> {
+    match expr {
+        Expr::Column(name) => Ok(Cow::Borrowed(batch.column_by_name(name)?)),
+        computed => computed.evaluate(batch).map(Cow::Owned),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Partial aggregation
+// ---------------------------------------------------------------------------
+
+/// A batch is pre-aggregated only when the bound on its group count leaves
+/// at least this many rows per group; otherwise hashing costs more than the
+/// shuffle bytes it saves, and each row goes out as its own partial state.
+const PARTIAL_MIN_ROWS_PER_GROUP: u64 = 2;
+
+/// The map-side half of a two-phase aggregation ([`Transform::PartialAggregate`]).
+///
+/// Each batch becomes a batch of partial states keyed by the evaluated group
+/// keys: one row per group when the batch is worth pre-aggregating, one row
+/// per input row otherwise. The choice reads only the batch, so a replayed
+/// task re-emits byte-identical partitions, and no state survives a batch.
+struct PartialAggregator {
+    /// Reused for every batch: `finish` emits a batch's groups and resets it.
+    table: HashAggregateOperator,
+    /// The projection that passes each row on as its own partial state: the
+    /// keys, a 1 per COUNT, and the value itself for SUM, MIN and MAX.
+    row_states: Vec<(Expr, String)>,
+}
+
+impl PartialAggregator {
+    fn new(input: Schema, group_by: Vec<(Expr, String)>, aggregates: Vec<AggExpr>) -> Result<Self> {
+        let table = HashAggregateOperator::new(input, group_by, aggregates)?;
+        let states = &table.output.fields()[table.group_by.len()..];
+        let mut row_states = table.group_by.clone();
+        for ((agg, state), input_type) in
+            table.aggregates.iter().zip(states).zip(&table.agg_input_types)
+        {
+            let value = match agg.func {
+                AggFunc::Count => lit(1i64),
+                // A SUM over dates accumulates as Float64.
+                _ if *input_type != state.data_type => agg.expr.clone().mul(lit(1.0f64)),
+                _ => agg.expr.clone(),
+            };
+            row_states.push((value, agg.alias.clone()));
+        }
+        Ok(PartialAggregator { table, row_states })
+    }
+
+    fn apply(&mut self, batch: Batch) -> Result<Batch> {
+        let rows = batch.num_rows() as u64;
+        if rows == 0 {
+            // Not even a global aggregate's zero row: the final stage adds
+            // that one when no partial state reaches it at all.
+            return Ok(Batch::empty(self.table.output.clone()));
+        }
+        let groups = group_count_bound(&batch, &self.table.group_by);
+        if groups.is_some_and(|g| g.saturating_mul(PARTIAL_MIN_ROWS_PER_GROUP) <= rows) {
+            self.table.push(0, &batch)?;
+            return self
+                .table
+                .finish()?
+                .pop()
+                .ok_or_else(|| QuokkaError::internal("aggregate finished without a batch"));
+        }
+        project(batch, &self.row_states)
+    }
+}
+
+/// An upper bound on the number of distinct group keys in `batch`, read off
+/// each key column: a dictionary's size, a bit-packed column's width, a
+/// plain integer or date column's value span, two for booleans. `None` when
+/// some key has no such bound (an expression, a plain string or a float).
+fn group_count_bound(batch: &Batch, group_by: &[(Expr, String)]) -> Option<u64> {
+    group_by.iter().try_fold(1u64, |bound, (key, _)| {
+        let Expr::Column(name) = key else { return None };
+        let distinct = match batch.column_by_name(name).ok()? {
+            Column::Dict(d) => d.values.len() as u64,
+            Column::Packed(p) => 1u64.checked_shl(u32::from(p.width))?,
+            Column::Int64(v) => value_span(v.iter().copied())?,
+            Column::Date(v) => value_span(v.iter().map(|&d| i64::from(d)))?,
+            Column::Bool(_) => 2,
+            Column::Utf8(_) | Column::Float64(_) | Column::Xor(_) => return None,
+        };
+        bound.checked_mul(distinct)
+    })
+}
+
+/// `max - min + 1` over a non-empty run of values.
+fn value_span(values: impl Iterator<Item = i64>) -> Option<u64> {
+    let (min, max) = values.fold((i64::MAX, i64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
+    u64::try_from(i128::from(max) - i128::from(min) + 1).ok()
 }
 
 // ---------------------------------------------------------------------------
@@ -1256,6 +1419,138 @@ mod tests {
         let out = op.finish().unwrap();
         assert_eq!(out[0].num_rows(), 1);
         assert_eq!(out[0].value(0, 0), ScalarValue::Int64(0));
+    }
+
+    #[test]
+    fn aggregate_pushed_again_after_finish_regroups_dictionary_keys() {
+        // `finish` resets the operator; a dictionary key pushed again must
+        // get fresh group ids, not the ones cached before the reset.
+        let schema = Schema::from_pairs(&[("k", DataType::Utf8), ("v", DataType::Int64)]);
+        let spec = OperatorSpec::new(CoreOp::HashAggregate {
+            input_schema: schema.clone(),
+            group_by: vec![(col("k"), "k".to_string())],
+            aggregates: vec![sum(col("v"), "total")],
+        });
+        let mut op = spec.instantiate().unwrap();
+        let keys: Vec<String> = ["b", "a", "c", "b"].iter().map(|s| s.to_string()).collect();
+        let dict = quokka_batch::DictColumn::from_plain(&keys);
+        let batch = |codes: &[usize], values: Vec<i64>| {
+            let codes = codes.iter().map(|&i| dict.codes[i]).collect();
+            let keys = quokka_batch::DictColumn::from_parts(codes, Arc::clone(&dict.values));
+            Batch::try_new(schema.clone(), vec![Column::Dict(keys), Column::Int64(values)]).unwrap()
+        };
+        op.push(0, &batch(&[0, 1, 2, 3], vec![1, 2, 3, 4])).unwrap();
+        let first = op.finish().unwrap();
+        assert_eq!(first[0].column(1), &Column::Int64(vec![2, 5, 3]));
+        op.push(0, &batch(&[2, 2], vec![10, 20])).unwrap();
+        let second = op.finish().unwrap();
+        assert_eq!(second[0].column(0), &Column::Utf8(vec!["c".to_string()]));
+        assert_eq!(second[0].column(1), &Column::Int64(vec![30]));
+    }
+
+    /// A 12-row batch grouped on `k`, with the key column given as `keys`.
+    fn partial_input(keys: Column) -> Batch {
+        let schema = Schema::from_pairs(&[("k", DataType::Utf8), ("v", DataType::Float64)]);
+        let values = (0..12).map(|i| f64::from(i) * 0.1 + 0.05).collect();
+        Batch::try_new(schema, vec![keys, Column::Float64(values)]).unwrap()
+    }
+
+    #[test]
+    fn both_preaggregation_branches_merge_to_the_same_answer() {
+        let names: Vec<String> = (0..12).map(|i| ["x", "y", "z"][i % 3].to_string()).collect();
+        let bounded = partial_input(Column::Dict(quokka_batch::DictColumn::from_plain(&names)));
+        let unbounded = partial_input(Column::Utf8(names));
+        let group_by = vec![(col("k"), "k".to_string())];
+        let aggregates = vec![
+            sum(col("v"), "s"),
+            avg(col("v"), "a"),
+            count(col("v"), "n"),
+            crate::aggregate::min(col("v"), "lo"),
+            crate::aggregate::max(col("v"), "hi"),
+        ];
+        let split = crate::aggregate::TwoPhase::split(&["k".to_string()], &aggregates).unwrap();
+        let partial =
+            Transform::PartialAggregate { group_by: group_by.clone(), aggregates: split.partial };
+        // A 3-entry dictionary bounds the batch at 3 groups for 12 rows, so
+        // it is pre-aggregated; plain strings have no bound, so every row
+        // goes out as its own partial state.
+        let pre_aggregated = partial.apply(bounded.clone()).unwrap();
+        let row_by_row = partial.apply(unbounded).unwrap();
+        assert_eq!(pre_aggregated.num_rows(), 3);
+        assert_eq!(row_by_row.num_rows(), 12);
+        assert_eq!(pre_aggregated.schema(), row_by_row.schema());
+
+        let merge = |states: &Batch| {
+            let mut spec = OperatorSpec::new(CoreOp::HashAggregate {
+                input_schema: states.schema().clone(),
+                group_by: group_by.clone(),
+                aggregates: split.merge.clone(),
+            });
+            spec.post.extend(split.finish.clone().map(Transform::Project));
+            let mut op = spec.instantiate().unwrap();
+            op.push(0, states).unwrap();
+            op.finish().unwrap().remove(0)
+        };
+        let mut one_phase = OperatorSpec::new(CoreOp::HashAggregate {
+            input_schema: bounded.schema().clone(),
+            group_by: group_by.clone(),
+            aggregates,
+        })
+        .instantiate()
+        .unwrap();
+        one_phase.push(0, &bounded).unwrap();
+        let expected = one_phase.finish().unwrap().remove(0);
+        for merged in [merge(&pre_aggregated), merge(&row_by_row)] {
+            assert_eq!(merged.schema(), expected.schema());
+            assert!(crate::reference::results_match(&merged, &expected), "{merged:?}");
+        }
+        // An empty batch yields no partial states at all.
+        assert_eq!(partial.apply(bounded.slice(0, 0)).unwrap().num_rows(), 0);
+    }
+
+    #[test]
+    fn group_count_bounds_come_from_the_key_columns() {
+        let keyed = |keys: Column| {
+            let schema = Schema::from_pairs(&[("k", keys.data_type())]);
+            Batch::try_new(schema, vec![keys]).unwrap()
+        };
+        let by_k = [(col("k"), "k".to_string())];
+        let packed = Column::Int64(vec![5, 6, 7, 5]).encode_auto();
+        assert_eq!(packed.encoding_name(), "packed");
+        assert_eq!(group_count_bound(&keyed(packed), &by_k), Some(4));
+        assert_eq!(group_count_bound(&keyed(Column::Int64(vec![-2, 7, 0])), &by_k), Some(10));
+        assert_eq!(group_count_bound(&keyed(Column::Date(vec![3, 3])), &by_k), Some(1));
+        assert_eq!(group_count_bound(&keyed(Column::Bool(vec![true])), &by_k), Some(2));
+        assert_eq!(group_count_bound(&keyed(Column::Utf8(vec!["a".into()])), &by_k), None);
+        assert_eq!(group_count_bound(&keyed(Column::Float64(vec![1.0])), &by_k), None);
+        let year = [(col("k").year(), "y".to_string())];
+        assert_eq!(group_count_bound(&keyed(Column::Date(vec![3])), &year), None);
+        assert_eq!(group_count_bound(&keyed(Column::Int64(vec![i64::MIN, i64::MAX])), &by_k), None);
+        assert_eq!(group_count_bound(&keyed(Column::Int64(vec![1])), &[]), Some(1));
+    }
+
+    #[test]
+    fn moving_transforms_keep_their_results() {
+        let schema = Schema::from_pairs(&[("k", DataType::Int64), ("v", DataType::Int64)]);
+        let batch = Batch::try_new(
+            schema,
+            vec![Column::Int64(vec![1, 2, 3]), Column::Int64(vec![3, 7, 9])],
+        )
+        .unwrap();
+        // A filter that keeps every row hands its input back.
+        let all = Transform::Filter(col("v").gt(lit(0i64)));
+        assert_eq!(all.apply(batch.clone()).unwrap(), batch);
+        // A projection selecting a column twice, around a computed one.
+        let project = Transform::Project(vec![
+            (col("v"), "a".to_string()),
+            (col("v").add(col("k")), "sum".to_string()),
+            (col("v"), "b".to_string()),
+        ]);
+        let out = project.apply(batch).unwrap();
+        assert_eq!(out.schema().column_names(), vec!["a", "sum", "b"]);
+        assert_eq!(out.column(0), &Column::Int64(vec![3, 7, 9]));
+        assert_eq!(out.column(1), &Column::Int64(vec![4, 9, 12]));
+        assert_eq!(out.column(2), &Column::Int64(vec![3, 7, 9]));
     }
 
     #[test]

@@ -21,6 +21,7 @@ use quokka_batch::compute::{sort_batch, SortKey};
 use quokka_batch::datatype::ScalarValue;
 use quokka_batch::{Batch, Schema};
 use quokka_common::Result;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Executes logical plans on a single thread.
@@ -254,6 +255,55 @@ pub fn same_result(a: &Batch, b: &Batch) -> bool {
     canonical_rows(a) == canonical_rows(b)
 }
 
+/// Relative tolerance for floats in [`results_match`] (absolute below
+/// magnitude 1). Summation order differs between executors, partial
+/// aggregation and recovery replays, which moves a sum of N values by about
+/// N x 1e-16 of its magnitude; a lost or duplicated row moves it by far more.
+const FLOAT_TOLERANCE: f64 = 1e-9;
+
+/// Whether two result batches hold the same multiset of rows, compared
+/// positionally by column, floats within a relative 1e-9.
+///
+/// Unlike [`same_result`], which rounds floats to 8 significant digits and
+/// so can call two sums 1e-11 apart different when they straddle a rounding
+/// boundary (a half cent), this is stricter everywhere except at those
+/// boundaries. Two NaNs (a MIN or MAX over no rows) match.
+pub fn results_match(a: &Batch, b: &Batch) -> bool {
+    if a.num_columns() != b.num_columns() || a.num_rows() != b.num_rows() {
+        return false;
+    }
+    let (a, b) = (sorted_rows(a), sorted_rows(b));
+    a.iter().zip(&b).all(|(x, y)| {
+        x.iter().zip(y).all(|(x, y)| match (x, y) {
+            (ScalarValue::Float64(x), ScalarValue::Float64(y)) => floats_match(*x, *y),
+            _ => x == y,
+        })
+    })
+}
+
+/// Rows sorted by their exact columns first and their floats last, so float
+/// noise cannot reorder rows whose other columns differ.
+fn sorted_rows(batch: &Batch) -> Vec<Vec<ScalarValue>> {
+    let mut rows: Vec<Vec<ScalarValue>> = (0..batch.num_rows()).map(|r| batch.row(r)).collect();
+    let is_float = |v: &ScalarValue| matches!(v, ScalarValue::Float64(_));
+    rows.sort_by(|a, b| {
+        let exact = a.iter().zip(b).filter(|(x, _)| !is_float(x));
+        let floats = a.iter().zip(b).filter(|(x, _)| is_float(x));
+        exact
+            .chain(floats)
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    rows
+}
+
+fn floats_match(a: f64, b: f64) -> bool {
+    a == b
+        || (a.is_nan() && b.is_nan())
+        || (a - b).abs() <= FLOAT_TOLERANCE * a.abs().max(b.abs()).max(1.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,5 +464,28 @@ mod tests {
         .unwrap();
         assert!(same_result(&a, &b));
         assert_eq!(canonical_rows(&a).len(), 2);
+    }
+
+    #[test]
+    fn results_match_within_a_relative_tolerance_in_any_row_order() {
+        let batch = |names: &[&str], values: &[f64]| {
+            let schema = Schema::from_pairs(&[("name", DataType::Utf8), ("v", DataType::Float64)]);
+            let names = names.iter().map(|n| n.to_string()).collect();
+            Batch::try_new(schema, vec![Column::Utf8(names), Column::Float64(values.to_vec())])
+                .unwrap()
+        };
+        // Two summation orders of one money sum, straddling the half cent:
+        // 8-digit rounding calls them different, the tolerance does not.
+        let engine = batch(&["a", "b"], &[187376.75499999998, 10.0]);
+        let oracle = batch(&["b", "a"], &[10.0, 187376.755]);
+        assert!(!same_result(&engine, &oracle));
+        assert!(results_match(&engine, &oracle));
+        // A lost row's worth of difference, a different key, a missing row
+        // or a missing column all differ; NaNs (MIN over no rows) match.
+        assert!(!results_match(&engine, &batch(&["a", "b"], &[187376.0, 10.0])));
+        assert!(!results_match(&engine, &batch(&["a", "c"], &[187376.755, 10.0])));
+        assert!(!results_match(&engine, &batch(&["a"], &[187376.755])));
+        assert!(!results_match(&engine, &engine.project(&[0])));
+        assert!(results_match(&batch(&["a"], &[f64::NAN]), &batch(&["a"], &[f64::NAN])));
     }
 }

@@ -6,9 +6,15 @@
 //! filter/project work is fused into the producing stage; every stateful
 //! operator (join, aggregation, sort, limit) becomes its own stage.
 //!
+//! An aggregation runs in two phases where it can ([`TwoPhase`]): the stage
+//! feeding it ends in a partial aggregate, so the shuffle carries partial
+//! states instead of input rows, and the aggregate stage merges them.
+//!
 //! Tasks are later named `(stage, channel, sequence)` by the engine, so the
 //! stage ids assigned here are the first component of every lineage record.
 
+use crate::aggregate::TwoPhase;
+use crate::expr::Expr;
 use crate::logical::LogicalPlan;
 use crate::physical::{CoreOp, OperatorSpec, Transform};
 use quokka_batch::Schema;
@@ -149,6 +155,30 @@ struct Planner {
 }
 
 impl Planner {
+    /// End the child stage in a partial aggregate and return the operator
+    /// that merges its partial states. The partial evaluates the group keys,
+    /// so the merge groups on the plain columns that lead its output.
+    fn partial_then_merge(
+        &mut self,
+        child: StageId,
+        group_by: &[(Expr, String)],
+        keys: Vec<String>,
+        split: TwoPhase,
+    ) -> Result<OperatorSpec> {
+        let producer = &mut self.stages[child as usize];
+        producer.op.post.push(Transform::PartialAggregate {
+            group_by: group_by.to_vec(),
+            aggregates: split.partial,
+        });
+        let mut op = OperatorSpec::new(CoreOp::HashAggregate {
+            input_schema: producer.output_schema()?,
+            group_by: keys.into_iter().map(|name| (Expr::Column(name.clone()), name)).collect(),
+            aggregates: split.merge,
+        });
+        op.post.extend(split.finish.map(Transform::Project));
+        Ok(op)
+    }
+
     fn push_stage(
         &mut self,
         inputs: Vec<StageId>,
@@ -213,32 +243,41 @@ impl Planner {
             LogicalPlan::Aggregate { input, group_by, aggregates } => {
                 let child = self.build(input)?;
                 let input_schema = self.stages[child as usize].output_schema()?;
-                // Data-parallel aggregation is only possible when the group
-                // keys are plain columns the child's output can be hash
-                // partitioned on; otherwise the aggregate runs on a single
-                // channel.
+                // Data-parallel aggregation hash-partitions the child's
+                // output on the group keys, so it needs every key to be a
+                // plain column; otherwise the aggregate runs on a single
+                // channel. A two-phase merge could partition on the partial's
+                // evaluated keys instead, but TPC-H's expression keys (years)
+                // have a handful of groups: spreading their merge over every
+                // channel only multiplied small tasks and slowed Q9.
                 let key_indices: Option<Vec<usize>> = group_by
                     .iter()
                     .map(|(e, _)| match e {
-                        crate::expr::Expr::Column(name) => input_schema.index_of(name).ok(),
+                        Expr::Column(name) => input_schema.index_of(name).ok(),
                         _ => None,
                     })
                     .collect();
-                let (parallelism, partition_by) = match key_indices {
-                    Some(keys) if !keys.is_empty() => (Parallelism::DataParallel, keys),
-                    _ => (Parallelism::Single, Vec::new()),
+                let mut partition_by = key_indices.unwrap_or_default();
+                let parallelism = if partition_by.is_empty() {
+                    Parallelism::Single
+                } else {
+                    Parallelism::DataParallel
                 };
-                self.stages[child as usize].partition_by = partition_by;
-                Ok(self.push_stage(
-                    vec![child],
-                    OperatorSpec::new(CoreOp::HashAggregate {
+                let keys: Vec<String> = group_by.iter().map(|(_, name)| name.clone()).collect();
+                let op = match TwoPhase::split(&keys, aggregates) {
+                    Some(split) => {
+                        // The partial's output leads with the keys.
+                        partition_by = (0..partition_by.len()).collect();
+                        self.partial_then_merge(child, group_by, keys, split)?
+                    }
+                    None => OperatorSpec::new(CoreOp::HashAggregate {
                         input_schema,
                         group_by: group_by.clone(),
                         aggregates: aggregates.clone(),
                     }),
-                    None,
-                    parallelism,
-                ))
+                };
+                self.stages[child as usize].partition_by = partition_by;
+                Ok(self.push_stage(vec![child], op, None, parallelism))
             }
             LogicalPlan::Sort { input, keys, limit } => {
                 let child = self.build(input)?;
@@ -273,10 +312,13 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::sum;
+    use crate::aggregate::{avg, count, count_distinct, max, min, sum, AggExpr, AggFunc};
+    use crate::catalog::MemoryCatalog;
     use crate::expr::{col, lit};
     use crate::logical::{JoinType, PlanBuilder};
-    use quokka_batch::DataType;
+    use crate::reference::{results_match, ReferenceExecutor};
+    use quokka_batch::datatype::ScalarValue;
+    use quokka_batch::{Batch, Column, DataType, DictColumn};
 
     fn lineitem() -> Schema {
         Schema::from_pairs(&[
@@ -347,6 +389,19 @@ mod tests {
         assert_eq!(graph.num_stages(), 2);
         assert_eq!(graph.stage(1).parallelism, Parallelism::DataParallel);
         assert_eq!(graph.stage(0).partition_by, vec![0]);
+
+        // The producer partitions its partial states, whose keys lead.
+        let plan = PlanBuilder::scan("lineitem", lineitem())
+            .aggregate(
+                vec![(col("l_discount"), "d"), (col("l_orderkey"), "k")],
+                vec![sum(col("l_extendedprice"), "rev")],
+            )
+            .build()
+            .unwrap();
+        let graph = StageGraph::compile(&plan).unwrap();
+        assert_eq!(graph.stage(1).parallelism, Parallelism::DataParallel);
+        assert_eq!(graph.stage(0).output_schema().unwrap().column_names(), vec!["d", "k", "rev"]);
+        assert_eq!(graph.stage(0).partition_by, vec![0, 1]);
     }
 
     #[test]
@@ -371,5 +426,166 @@ mod tests {
             .unwrap();
         let graph = StageGraph::compile(&plan).unwrap();
         assert_eq!(graph.stage(1).parallelism, Parallelism::Single);
+        // The partial at the end of the scan stage still evaluates
+        // `year(o_orderdate)`, so the merge groups by a plain column.
+        assert!(graph.stage(0).partition_by.is_empty());
+        assert!(matches!(graph.stage(0).op.post.last(), Some(Transform::PartialAggregate { .. })));
+        assert_eq!(graph.stage(0).output_schema().unwrap().column_names(), vec!["year", "s"]);
+        assert_eq!(graph.stage(1).output_schema().unwrap(), plan.schema().unwrap());
+    }
+
+    #[test]
+    fn count_distinct_stays_single_phase() {
+        for (key, parallelism) in [
+            (col("o_orderdate").year(), Parallelism::Single),
+            (col("o_orderdate"), Parallelism::DataParallel),
+        ] {
+            let plan = PlanBuilder::scan("orders", orders())
+                .aggregate(
+                    vec![(key, "k")],
+                    vec![sum(col("o_orderkey"), "s"), count_distinct(col("o_orderkey"), "d")],
+                )
+                .build()
+                .unwrap();
+            let graph = StageGraph::compile(&plan).unwrap();
+            assert!(graph.stage(0).op.post.is_empty(), "no partial aggregate");
+            assert_eq!(graph.stage(1).parallelism, parallelism);
+            let CoreOp::HashAggregate { aggregates, input_schema, .. } = &graph.stage(1).op.core
+            else {
+                panic!("stage 1 is the aggregate");
+            };
+            assert_eq!(input_schema, &orders());
+            assert_eq!(aggregates[1].func, AggFunc::CountDistinct);
+        }
+    }
+
+    /// The table the two-phase tests aggregate: a string key, an integer
+    /// key and one column per value type.
+    fn sales() -> Schema {
+        Schema::from_pairs(&[
+            ("region", DataType::Utf8),
+            ("store", DataType::Int64),
+            ("units", DataType::Int64),
+            ("price", DataType::Float64),
+            ("day", DataType::Date),
+        ])
+    }
+
+    /// Three batches: a dictionary-keyed one and a narrow-key one the
+    /// partial pre-aggregates, and a plain-string one it passes row by row.
+    fn sales_batches() -> Vec<Batch> {
+        let regions = |names: &[&str]| names.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let batch = |region: Column, store: Vec<i64>, units: Vec<i64>, price: Vec<f64>| {
+            let days = (0..store.len() as i32).map(|d| 9000 + d * 7).collect();
+            Batch::try_new(
+                sales(),
+                vec![
+                    region,
+                    Column::Int64(store),
+                    Column::Int64(units),
+                    Column::Float64(price),
+                    Column::Date(days),
+                ],
+            )
+            .unwrap()
+        };
+        vec![
+            batch(
+                Column::Dict(DictColumn::from_plain(&regions(&[
+                    "east", "west", "east", "east", "west", "north",
+                ]))),
+                vec![1, 1, 2, 2, 1, 2],
+                vec![3, 5, 7, 1, 2, 4],
+                vec![1.25, 0.1, 7.5, 3.0, 0.2, 0.7],
+            ),
+            batch(
+                Column::Utf8(regions(&["west", "south", "east"])),
+                vec![40, 7, 1],
+                vec![9, 6, 8],
+                vec![2.5, 0.3, 1.1],
+            ),
+            batch(
+                Column::Utf8(regions(&["east", "east", "west", "west"])),
+                vec![2, 2, 1, 1],
+                vec![1, 1, 1, 1],
+                vec![0.01, 0.02, 0.03, 0.04],
+            ),
+        ]
+    }
+
+    fn every_aggregate() -> Vec<AggExpr> {
+        vec![
+            sum(col("units"), "sum_units"),
+            sum(col("price"), "sum_price"),
+            sum(col("day"), "sum_day"),
+            avg(col("units"), "avg_units"),
+            avg(col("price"), "avg_price"),
+            min(col("price"), "min_price"),
+            max(col("units"), "max_units"),
+            min(col("region"), "min_region"),
+            max(col("day"), "max_day"),
+            count(col("price"), "n"),
+        ]
+    }
+
+    /// Run a compiled scan -> aggregate graph as the engine would, with one
+    /// channel per stage: each batch through the scan stage's operator and
+    /// its output through the aggregate stage's.
+    fn run_scan_then_aggregate(graph: &StageGraph, batches: &[Batch]) -> Batch {
+        assert_eq!(graph.num_stages(), 2);
+        let mut producer = graph.stage(0).op.instantiate().unwrap();
+        let mut merge = graph.stage(1).op.instantiate().unwrap();
+        for batch in batches {
+            for partial in producer.push(0, batch).unwrap() {
+                assert_eq!(partial.schema(), &graph.stage(0).output_schema().unwrap());
+                merge.push(0, &partial).unwrap();
+            }
+        }
+        Batch::concat(&merge.finish().unwrap()).unwrap()
+    }
+
+    #[test]
+    fn two_phase_matches_the_reference_for_every_aggregate() {
+        let keys: [Vec<(Expr, &str)>; 3] = [
+            vec![(col("region"), "region")],
+            vec![(col("region"), "region"), (col("store"), "store")],
+            vec![],
+        ];
+        for group_by in keys {
+            let grouped = !group_by.is_empty();
+            for batches in [sales_batches(), vec![Batch::empty(sales())], vec![]] {
+                let catalog = MemoryCatalog::new();
+                catalog.register("sales", sales(), batches.clone());
+                let plan = PlanBuilder::scan("sales", sales())
+                    .aggregate(group_by.clone(), every_aggregate())
+                    .build()
+                    .unwrap();
+                let graph = StageGraph::compile(&plan).unwrap();
+                assert!(matches!(
+                    graph.stage(0).op.post.last(),
+                    Some(Transform::PartialAggregate { .. })
+                ));
+                let two_phase = run_scan_then_aggregate(&graph, &batches);
+                let one_phase = ReferenceExecutor::new(&catalog).execute(&plan).unwrap();
+                assert_eq!(two_phase.schema(), one_phase.schema());
+                assert!(
+                    results_match(&two_phase, &one_phase),
+                    "two-phase {two_phase:?}\none-phase {one_phase:?}"
+                );
+                let empty = batches.iter().all(|b| b.num_rows() == 0);
+                if empty && !grouped {
+                    // A global aggregate over no input still yields one row.
+                    assert_eq!(two_phase.num_rows(), 1);
+                    let value = |name: &str| two_phase.column_by_name(name).unwrap().get(0);
+                    assert_eq!(value("n"), ScalarValue::Int64(0));
+                    assert_eq!(value("sum_units"), ScalarValue::Int64(0));
+                    assert_eq!(value("sum_price"), ScalarValue::Float64(0.0));
+                    assert_eq!(value("avg_units"), ScalarValue::Float64(0.0));
+                    assert_eq!(value("avg_price"), ScalarValue::Float64(0.0));
+                } else if empty {
+                    assert_eq!(two_phase.num_rows(), 0);
+                }
+            }
+        }
     }
 }

@@ -555,7 +555,7 @@ fn check_unique<'a>(names: impl Iterator<Item = &'a str>) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{same_result, EngineConfig};
+    use crate::{results_match, EngineConfig};
     use quokka_batch::Column;
 
     fn session() -> QuokkaSession {
@@ -616,11 +616,11 @@ mod tests {
         let by_tag_result = by_tag.collect().unwrap();
         assert_eq!(by_tag_result.batch.schema().column_names(), vec!["tag", "total", "n"]);
         assert_eq!(by_tag_result.batch.num_rows(), 3);
-        assert!(same_result(&by_tag_result.batch, &by_tag.collect_reference().unwrap()));
+        assert!(results_match(&by_tag_result.batch, &by_tag.collect_reference().unwrap()));
 
         let top_result = top.collect().unwrap();
         assert_eq!(top_result.batch.num_rows(), 3);
-        assert!(same_result(&top_result.batch, &top.collect_reference().unwrap()));
+        assert!(results_match(&top_result.batch, &top.collect_reference().unwrap()));
     }
 
     #[test]
@@ -665,7 +665,7 @@ mod tests {
             .unwrap();
         assert_eq!(joined.schema().len(), 5);
         let outcome = joined.collect().unwrap();
-        assert!(same_result(&outcome.batch, &joined.collect_reference().unwrap()));
+        assert!(results_match(&outcome.batch, &joined.collect_reference().unwrap()));
 
         let err = s
             .table("dims")
@@ -714,7 +714,7 @@ mod tests {
         assert_eq!(semi.schema().column_names(), vec!["k", "v", "tag"]);
         let semi_result = semi.collect().unwrap();
         assert_eq!(semi_result.batch.num_rows(), 3);
-        assert!(same_result(&semi_result.batch, &semi.collect_reference().unwrap()));
+        assert!(results_match(&semi_result.batch, &semi.collect_reference().unwrap()));
 
         let anti = s
             .table("events")
@@ -746,7 +746,7 @@ mod tests {
         assert_eq!(frame.schema().column_names(), vec!["k", "v", "tag", "double_v"]);
         let batch = frame.clone().sort([(col("k"), true)]).unwrap().collect().unwrap().batch;
         assert_eq!(batch.value(1, 3), ScalarValue::Float64(1.0));
-        assert!(same_result(
+        assert!(results_match(
             &batch,
             &frame.sort([(col("k"), true)]).unwrap().collect_reference().unwrap()
         ));
@@ -776,7 +776,7 @@ mod tests {
         assert_eq!(joined.schema().len(), 6);
         let outcome = joined.collect().unwrap();
         assert_eq!(outcome.batch.num_rows(), 100);
-        assert!(same_result(&outcome.batch, &joined.collect_reference().unwrap()));
+        assert!(results_match(&outcome.batch, &joined.collect_reference().unwrap()));
 
         let err = s.table("events").unwrap().rename("kk", "x").unwrap_err();
         assert!(err.to_string().contains("did you mean 'k'"), "{err}");

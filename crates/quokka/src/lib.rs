@@ -54,7 +54,7 @@ pub use quokka_engine::{
     AdmissionController, AdmissionStats, BatchStream, QueryOutcome, QueryRunner, StreamOptions,
 };
 pub use quokka_plan::logical::{JoinType, LogicalPlan, PlanBuilder};
-pub use quokka_plan::reference::{canonical_rows, same_result, ReferenceExecutor};
+pub use quokka_plan::reference::{canonical_rows, results_match, same_result, ReferenceExecutor};
 pub use quokka_sql::SqlError;
 pub use quokka_tpch::TpchGenerator;
 
@@ -508,7 +508,7 @@ mod tests {
         let session = QuokkaSession::tpch(0.002, 2).unwrap();
         let outcome = session.run_tpch(6).unwrap();
         let expected = session.run_reference(&quokka_tpch::query(6).unwrap()).unwrap();
-        assert!(same_result(&outcome.batch, &expected));
+        assert!(results_match(&outcome.batch, &expected));
     }
 
     #[test]
@@ -532,7 +532,7 @@ mod tests {
         let a = from_plan.collect_reference().unwrap();
         let b = from_sql.collect_reference().unwrap();
         let c = from_df.collect_reference().unwrap();
-        assert!(same_result(&a, &b));
-        assert!(same_result(&b, &c));
+        assert!(results_match(&a, &b));
+        assert!(results_match(&b, &c));
     }
 }

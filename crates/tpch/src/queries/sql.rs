@@ -423,7 +423,7 @@ mod tests {
     use super::*;
     use crate::generator::TpchGenerator;
     use quokka_plan::optimizer::{contains_subqueries, Optimizer};
-    use quokka_plan::reference::{same_result, ReferenceExecutor};
+    use quokka_plan::reference::{results_match, ReferenceExecutor};
     use quokka_plan::stage::StageGraph;
 
     #[test]
@@ -458,7 +458,7 @@ mod tests {
                 .unwrap_or_else(|e| panic!("Q{q} (SQL) failed to execute: {e}"));
             let hand_result = executor.execute(&hand_plan).unwrap();
             assert!(
-                same_result(&sql_result, &hand_result),
+                results_match(&sql_result, &hand_result),
                 "Q{q}: SQL result ({} rows) != PlanBuilder result ({} rows)\nSQL plan:\n{}",
                 sql_result.num_rows(),
                 hand_result.num_rows(),

@@ -15,14 +15,14 @@ fn main() -> quokka::Result<()> {
 
     // 1. Normal execution (no failure) to establish the baseline runtime.
     let normal = session.run(&plan)?;
-    assert!(quokka::same_result(&expected, &normal.batch));
+    assert!(quokka::results_match(&expected, &normal.batch));
     println!("normal execution          : {:?}", normal.metrics.runtime);
 
     // 2. Kill worker 1 once half of the input splits have been consumed;
     //    write-ahead lineage rewinds only the lost channels.
     let failing = EngineConfig::quokka(workers).with_chaos(ChaosPlan::kill_at_progress(1, 0.5));
     let recovered = session.run_with(&plan, &failing)?;
-    assert!(quokka::same_result(&expected, &recovered.batch), "recovered result differs!");
+    assert!(quokka::results_match(&expected, &recovered.batch), "recovered result differs!");
     println!(
         "with failure + WAL        : {:?}  (overhead {:.2}x, {} recovery tasks, planning {:?})",
         recovered.metrics.runtime,
@@ -37,7 +37,7 @@ fn main() -> quokka::Result<()> {
         .with_fault(FaultStrategy::None)
         .with_chaos(ChaosPlan::kill_at_progress(1, 0.5));
     let restarted = session.run_with(&plan, &restart)?;
-    assert!(quokka::same_result(&expected, &restarted.batch));
+    assert!(quokka::results_match(&expected, &restarted.batch));
     println!(
         "with failure + restart    : {:?}  (overhead {:.2}x)",
         restarted.metrics.runtime,

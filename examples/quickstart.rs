@@ -76,7 +76,7 @@ fn main() -> quokka::Result<()> {
 
     // The distributed result matches the single-threaded reference executor.
     let expected = session.run_reference(&plan)?;
-    assert!(quokka::same_result(&expected, &outcome.batch));
+    assert!(quokka::results_match(&expected, &outcome.batch));
     println!("\nresult verified against the reference executor");
 
     // The same query as SQL text: parsed, bound against the session's
@@ -90,7 +90,7 @@ fn main() -> quokka::Result<()> {
     )?;
     println!("\nSQL plan:\n{}", handle.explain());
     let sql_outcome = handle.collect()?;
-    assert!(quokka::same_result(&sql_outcome.batch, &outcome.batch));
+    assert!(quokka::results_match(&sql_outcome.batch, &outcome.batch));
     println!("SQL result matches the hand-built plan");
 
     // Malformed SQL fails with a positioned error instead of panicking.
@@ -113,7 +113,7 @@ fn main() -> quokka::Result<()> {
         .agg([dsum(dcol("s_amount")).alias("revenue"), dcount(dcol("s_product")).alias("sales")])?
         .sort([(dcol("revenue"), false)])?;
     let df_outcome = frame.collect()?;
-    assert!(quokka::same_result(&df_outcome.batch, &outcome.batch));
+    assert!(quokka::results_match(&df_outcome.batch, &outcome.batch));
     println!("DataFrame result matches the hand-built plan and the SQL text");
     Ok(())
 }

@@ -32,7 +32,7 @@ fn main() -> quokka::Result<()> {
     for (name, strategy) in strategies {
         let config = EngineConfig::quokka(workers).with_fault(strategy).with_cost(cost);
         let outcome = session.run_with(&plan, &config)?;
-        assert!(quokka::same_result(&expected, &outcome.batch), "{name}: wrong result");
+        assert!(quokka::results_match(&expected, &outcome.batch), "{name}: wrong result");
         let seconds = outcome.metrics.runtime.as_secs_f64();
         let overhead = match baseline {
             None => {

@@ -28,7 +28,7 @@ fn main() -> quokka::Result<()> {
         let stagewise_time = start.elapsed();
 
         assert!(
-            quokka::same_result(&quokka_outcome.batch, &stagewise_outcome.batch),
+            quokka::results_match(&quokka_outcome.batch, &stagewise_outcome.batch),
             "Q{q}: execution modes disagree"
         );
         println!(

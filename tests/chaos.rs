@@ -9,7 +9,7 @@
 //! batch-for-batch identical to the reference result.
 
 use quokka::{
-    same_result, ChaosEvent, ChaosPlan, ChaosTrigger, EngineConfig, QuokkaError, QuokkaSession,
+    results_match, ChaosEvent, ChaosPlan, ChaosTrigger, EngineConfig, QuokkaError, QuokkaSession,
 };
 use std::time::Duration;
 
@@ -29,7 +29,7 @@ fn crash_at_every_task_commit_boundary_preserves_parity() {
 
         // Clean run first: count the task-commit boundaries to sweep.
         let clean = session.run_with(&plan, &EngineConfig::quokka(3)).unwrap();
-        assert!(same_result(&expected, &clean.batch), "clean Q{query} diverged");
+        assert!(results_match(&expected, &clean.batch), "clean Q{query} diverged");
         let total = clean.metrics.tasks_executed;
         assert!(total > 0, "Q{query} executed no tasks");
 
@@ -43,7 +43,7 @@ fn crash_at_every_task_commit_boundary_preserves_parity() {
                 panic!("Q{query} failed when killed at commit boundary {boundary}: {e}")
             });
             assert!(
-                same_result(&expected, &outcome.batch),
+                results_match(&expected, &outcome.batch),
                 "Q{query} diverged when worker 1 was killed at commit boundary {boundary}/{total}"
             );
             fired += outcome.metrics.chaos_events;
@@ -78,7 +78,7 @@ fn randomized_chaos_is_survivable_and_reproducible_from_seed() {
             )
         });
         assert!(
-            same_result(&expected, &outcome.batch),
+            results_match(&expected, &outcome.batch),
             "diverged under randomized chaos; reproduce with ChaosPlan::randomized({seed}, 4)"
         );
     }
@@ -95,7 +95,7 @@ fn a_second_kill_mid_recovery_still_converges() {
         .with(ChaosTrigger::Progress(0.4), ChaosEvent::KillWorker { worker: 1 })
         .with(ChaosTrigger::RecoveryTasks(1), ChaosEvent::KillWorker { worker: 2 });
     let outcome = session.run_with(&plan, &EngineConfig::quokka(3).with_chaos(chaos)).unwrap();
-    assert!(same_result(&expected, &outcome.batch), "diverged after a kill during recovery");
+    assert!(results_match(&expected, &outcome.batch), "diverged after a kill during recovery");
     assert_eq!(outcome.metrics.failures, 2, "both kills must be detected");
     assert!(outcome.metrics.recovery_tasks > 0);
 }
@@ -112,7 +112,7 @@ fn wiped_backups_force_deeper_replay_and_still_converge() {
         .with(ChaosTrigger::TaskCommits(2), ChaosEvent::LoseBackups { worker: 0 })
         .with(ChaosTrigger::Progress(0.5), ChaosEvent::KillWorker { worker: 1 });
     let outcome = session.run_with(&plan, &EngineConfig::quokka(3).with_chaos(chaos)).unwrap();
-    assert!(same_result(&expected, &outcome.batch), "diverged after backups were wiped");
+    assert!(results_match(&expected, &outcome.batch), "diverged after backups were wiped");
     assert_eq!(outcome.metrics.failures, 1);
 }
 
@@ -130,7 +130,7 @@ fn dropped_and_delayed_pushes_are_retried_transparently() {
             ChaosEvent::DelayPushes { destination: 2, count: 2, delay: Duration::from_millis(2) },
         );
     let outcome = session.run_with(&plan, &EngineConfig::quokka(3).with_chaos(chaos)).unwrap();
-    assert!(same_result(&expected, &outcome.batch), "diverged under push faults");
+    assert!(results_match(&expected, &outcome.batch), "diverged under push faults");
     assert_eq!(outcome.metrics.failures, 0, "push faults are not worker failures");
     assert!(
         outcome.metrics.push_retries >= 1,
@@ -156,7 +156,7 @@ fn a_false_suspicion_never_corrupts_the_result() {
     let config =
         EngineConfig::quokka(3).with_chaos(chaos).with_suspicion_timeout(Duration::from_millis(20));
     let outcome = session.run_with(&plan, &config).unwrap();
-    assert!(same_result(&expected, &outcome.batch), "diverged after a false suspicion");
+    assert!(results_match(&expected, &outcome.batch), "diverged after a false suspicion");
     assert_eq!(outcome.metrics.failures, 0, "a suspected worker must not be declared failed");
     assert!(
         outcome.metrics.suspicions >= 1,
@@ -176,7 +176,7 @@ fn stragglers_only_slow_the_query_down() {
         ChaosEvent::Straggler { worker: 2, count: 4, delay: Duration::from_millis(5) },
     );
     let outcome = session.run_with(&plan, &EngineConfig::quokka(3).with_chaos(chaos)).unwrap();
-    assert!(same_result(&expected, &outcome.batch));
+    assert!(results_match(&expected, &outcome.batch));
     assert!(outcome.metrics.chaos_events >= 1, "the straggler injection never fired");
 }
 
@@ -234,7 +234,7 @@ fn dataframe_twins_survive_a_chaos_plan() {
             .collect_with(&config)
             .unwrap_or_else(|e| panic!("DataFrame Q{q} failed under chaos: {e}"));
         assert!(
-            same_result(&expected, &outcome.batch),
+            results_match(&expected, &outcome.batch),
             "DataFrame Q{q} diverged under the chaos plan"
         );
     }

@@ -10,7 +10,7 @@
 use quokka::dataframe::tpch::query as df_query;
 use quokka::tpch::queries::sql::sql_text;
 use quokka::{
-    same_result, AdmissionConfig, Batch, ChaosPlan, EngineConfig, QueryMetrics, QuokkaError,
+    results_match, AdmissionConfig, Batch, ChaosPlan, EngineConfig, QueryMetrics, QuokkaError,
     QuokkaSession,
 };
 use std::sync::Arc;
@@ -72,7 +72,7 @@ fn mixed_tpch_queries_run_concurrently_on_one_session() {
                 let (q, oracle) = &expected[i];
                 let (batch, metrics) = run_query(&session, *q, i, None);
                 assert!(
-                    same_result(&batch, oracle),
+                    results_match(&batch, oracle),
                     "Q{q} diverged from the oracle under concurrency (thread {i})"
                 );
                 // Metrics isolation: each execution's counters describe
@@ -120,7 +120,7 @@ fn concurrent_queries_with_fault_injection_stay_isolated() {
                 let config = if i % 2 == 1 { Some(&faulty) } else { None };
                 let (batch, metrics) = run_query(&session, *q, i, config);
                 assert!(
-                    same_result(&batch, oracle),
+                    results_match(&batch, oracle),
                     "Q{q} diverged under concurrent fault injection (thread {i})"
                 );
                 if i % 2 == 1 {
@@ -189,7 +189,7 @@ fn overloaded_session_rejects_excess_queries_without_losing_results() {
                 match result {
                     Ok(batch) => {
                         assert!(
-                            same_result(&batch, &expected),
+                            results_match(&batch, &expected),
                             "thread {i}: an admitted query lost or duplicated batches"
                         );
                         true
@@ -230,7 +230,7 @@ fn overloaded_session_rejects_excess_queries_without_losing_results() {
     assert_eq!(session.admission().queue_depth(), 0);
     // The session is healthy after the storm: a fresh query just runs.
     let after = session.run_tpch(6).unwrap();
-    assert!(same_result(&after.batch, &expected));
+    assert!(results_match(&after.batch, &expected));
 }
 
 #[test]
@@ -244,7 +244,7 @@ fn cloned_sessions_share_the_catalog_but_not_the_config() {
     assert_eq!(tuned.config().cluster.workers, 4);
     let a = base.run_tpch(6).unwrap();
     let b = tuned.run_tpch(6).unwrap();
-    assert!(same_result(&a.batch, &b.batch));
+    assert!(results_match(&a.batch, &b.batch));
 }
 
 #[test]
@@ -268,7 +268,7 @@ fn concurrent_streams_interleave_without_crosstalk() {
                     batches.push(batch);
                 }
                 let streamed = Batch::concat(&batches).unwrap();
-                assert!(same_result(&streamed, &expected), "Q{q} diverged while streaming");
+                assert!(results_match(&streamed, &expected), "Q{q} diverged while streaming");
             })
         })
         .collect();

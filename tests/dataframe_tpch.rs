@@ -9,11 +9,11 @@
 
 use quokka::dataframe::tpch::{query as df_query, DATAFRAME_QUERIES};
 use quokka::tpch::queries::sql::sql_text;
-use quokka::{same_result, ChaosPlan, EngineConfig, QuokkaSession};
+use quokka::{results_match, ChaosPlan, EngineConfig, QuokkaSession};
 
 /// Reference-executor parity runs on a larger data set (both sides are
 /// deterministic); the distributed runs use the same scale the other
-/// integration suites use, inside the float tolerance `same_result` allows
+/// integration suites use, inside the float tolerance `results_match` allows
 /// for differing summation orders.
 fn session() -> QuokkaSession {
     QuokkaSession::tpch(0.005, 3).unwrap()
@@ -58,7 +58,7 @@ fn dataframe_matches_sql_on_the_reference_executor() {
             .unwrap_or_else(|e| panic!("Q{q} (DataFrame) failed on the reference executor: {e}"));
         let sql_result = sql.collect_reference().unwrap();
         assert!(
-            same_result(&df_result, &sql_result),
+            results_match(&df_result, &sql_result),
             "Q{q}: DataFrame result ({} rows) != SQL result ({} rows)\nDataFrame plan:\n{}",
             df_result.num_rows(),
             sql_result.num_rows(),
@@ -77,7 +77,7 @@ fn dataframe_matches_sql_on_the_distributed_runtime() {
             .unwrap_or_else(|e| panic!("Q{q} (DataFrame) failed on the cluster: {e}"));
         let sql_result = session.sql(sql_text(q).unwrap()).unwrap().collect_reference().unwrap();
         assert!(
-            same_result(&distributed.batch, &sql_result),
+            results_match(&distributed.batch, &sql_result),
             "Q{q}: distributed DataFrame result diverged from the SQL oracle"
         );
         assert!(distributed.metrics.tasks_executed > 0);
@@ -100,7 +100,7 @@ fn dataframe_results_survive_the_optimizer() {
         let optimized = frame.collect().unwrap();
         let unoptimized = frame.collect_with(&naive).unwrap();
         assert!(
-            same_result(&optimized.batch, &unoptimized.batch),
+            results_match(&optimized.batch, &unoptimized.batch),
             "Q{q}: optimized and naive DataFrame runs disagree"
         );
     }
@@ -117,7 +117,7 @@ fn dataframe_queries_recover_from_worker_failure() {
         let expected = frame.collect_reference().unwrap();
         let outcome = frame.collect_with(&faulty).unwrap();
         assert!(
-            same_result(&outcome.batch, &expected),
+            results_match(&outcome.batch, &expected),
             "Q{q}: result after fault recovery diverged"
         );
         assert_eq!(outcome.metrics.failures, 1);

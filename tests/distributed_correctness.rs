@@ -2,7 +2,7 @@
 //! results as the single-threaded reference executor on the TPC-H workload,
 //! under every execution mode.
 
-use quokka::{same_result, EngineConfig, ExecutionMode, QuokkaSession};
+use quokka::{results_match, EngineConfig, ExecutionMode, QuokkaSession};
 
 fn session() -> QuokkaSession {
     QuokkaSession::tpch(0.002, 3).expect("generate TPC-H data")
@@ -13,7 +13,7 @@ fn check(session: &QuokkaSession, query: usize, config: &EngineConfig) {
     let expected = session.run_reference(&plan).unwrap();
     let outcome = session.run_with(&plan, config).unwrap();
     assert!(
-        same_result(&expected, &outcome.batch),
+        results_match(&expected, &outcome.batch),
         "Q{query} diverged under {config:?}: expected {} rows, got {} rows",
         expected.num_rows(),
         outcome.batch.num_rows()
@@ -66,7 +66,7 @@ fn results_are_stable_across_cluster_sizes() {
     let plan = quokka::tpch::query(3).unwrap();
     let small = session.run_with(&plan, &EngineConfig::quokka(2)).unwrap();
     let large = session.run_with(&plan, &EngineConfig::quokka(5)).unwrap();
-    assert!(same_result(&small.batch, &large.batch));
+    assert!(results_match(&small.batch, &large.batch));
     assert_eq!(small.metrics.failures, 0);
 }
 
@@ -80,5 +80,5 @@ fn pipelined_and_stagewise_agree_on_every_mode_pair() {
     let stagewise = session
         .run_with(&plan, &EngineConfig::quokka(3).with_mode(ExecutionMode::Stagewise))
         .unwrap();
-    assert!(same_result(&pipelined.batch, &stagewise.batch));
+    assert!(results_match(&pipelined.batch, &stagewise.batch));
 }

@@ -7,7 +7,9 @@
 //! reference executor, on the distributed engine (both transports), and
 //! under fault injection, where recovery replays encoded backups.
 
-use quokka::{same_result, ChaosPlan, EngineConfig, QuokkaSession, TpchGenerator, TransportConfig};
+use quokka::{
+    results_match, ChaosPlan, EngineConfig, QuokkaSession, TpchGenerator, TransportConfig,
+};
 
 const SF: f64 = 0.002;
 const SEED: u64 = 0xC0FFEE;
@@ -38,7 +40,7 @@ fn all_queries_match_reference_with_and_without_encoding() {
         let with_encoding = encoded.run_reference(&query).unwrap();
         let without = plain.run_reference(&query).unwrap();
         assert!(
-            same_result(&with_encoding, &without),
+            results_match(&with_encoding, &without),
             "Q{q} diverged between encoded and plain catalogs: {} vs {} rows",
             with_encoding.num_rows(),
             without.num_rows()
@@ -59,7 +61,7 @@ fn distributed_results_are_independent_of_encoding() {
         let with_encoding = encoded.run_with(&query, &config).unwrap();
         let without = plain.run_with(&query, &config).unwrap();
         assert!(
-            same_result(&with_encoding.batch, &without.batch),
+            results_match(&with_encoding.batch, &without.batch),
             "Q{q} diverged between encoded and plain catalogs on the cluster"
         );
     }
@@ -77,7 +79,7 @@ fn tcp_transport_is_encoding_agnostic() {
         let over_tcp = encoded.run_with(&query, &tcp).unwrap();
         let inproc = plain.run_with(&query, &EngineConfig::quokka(3)).unwrap();
         assert!(
-            same_result(&over_tcp.batch, &inproc.batch),
+            results_match(&over_tcp.batch, &inproc.batch),
             "Q{q} over tcp with encoded tables diverged from plain inproc"
         );
     }
@@ -96,7 +98,7 @@ fn fault_recovery_replays_encoded_backups_exactly() {
         let outcome = encoded.run_with(&query, &config).unwrap();
         assert_eq!(outcome.metrics.failures, 1, "Q{q}: the injected failure must fire");
         assert!(
-            same_result(&expected, &outcome.batch),
+            results_match(&expected, &outcome.batch),
             "Q{q} diverged after failure recovery over encoded tables"
         );
     }

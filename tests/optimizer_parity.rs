@@ -12,11 +12,14 @@ use proptest::prelude::*;
 use quokka::plan::aggregate::{avg, count, max, min, sum};
 use quokka::plan::expr::{col, lit, Expr};
 use quokka::plan::optimizer::{Optimizer, RULE_NAMES};
+use quokka::plan::physical::{CoreOp, Transform};
+use quokka::plan::stage::{StageGraph, StageSpec};
 use quokka::plan::Catalog;
 use quokka::{
-    canonical_rows, same_result, Batch, ChaosPlan, Column, DataType, EngineConfig, JoinType,
-    LogicalPlan, PlanBuilder, QuokkaSession, ScalarValue, Schema,
+    results_match, Batch, ChaosPlan, Column, DataType, EngineConfig, JoinType, LogicalPlan,
+    PlanBuilder, QuokkaSession, ScalarValue, Schema,
 };
+use std::collections::BTreeSet;
 
 fn session() -> QuokkaSession {
     QuokkaSession::tpch(0.002, 3).expect("generate TPC-H data")
@@ -38,7 +41,7 @@ fn all_22_tpch_plans_are_reference_identical_after_optimization() {
         let naive = session.run_reference(&plan).unwrap();
         let rewritten = session.run_reference(&optimized).unwrap();
         assert!(
-            same_result(&naive, &rewritten),
+            results_match(&naive, &rewritten),
             "Q{q}: optimized plan diverged on the reference executor\n{}",
             optimized.display_indent()
         );
@@ -57,7 +60,7 @@ fn check_distributed_parity(queries: &[usize]) {
         let naive = session.run_with(&plan, &naive_config).unwrap();
         let optimized = session.run_with(&plan, &optimized_config).unwrap();
         assert!(
-            same_result(&naive.batch, &optimized.batch),
+            results_match(&naive.batch, &optimized.batch),
             "Q{q}: optimized and unoptimized distributed runs disagree"
         );
     }
@@ -96,7 +99,7 @@ fn optimized_plans_survive_fault_injection() {
             .with_chaos(ChaosPlan::kill_at_progress(1, 0.5));
         let outcome = session.run_with(&plan, &config).unwrap();
         assert!(
-            same_result(&expected, &outcome.batch),
+            results_match(&expected, &outcome.batch),
             "Q{q}: optimized plan diverged under fault injection"
         );
         assert_eq!(outcome.metrics.failures, 1);
@@ -126,6 +129,87 @@ fn optimization_reduces_shuffle_bytes_on_q3() {
 // ---------------------------------------------------------------------------
 // Randomized-plan properties
 // ---------------------------------------------------------------------------
+
+/// Dead-column pruning plus partial aggregation, checked on the compiled
+/// stage graph of every TPC-H SQL query: no stage ships a column that its
+/// consuming stage never reads. The sink's output is the result, so it is
+/// exempt.
+#[test]
+fn tpch_stages_ship_only_columns_their_consumers_read() {
+    let session = session();
+    for q in quokka::tpch::ALL_QUERIES {
+        let sql = quokka::tpch::queries::sql::sql_text(q).unwrap();
+        let plan = quokka::sql::plan_query(sql, session.catalog()).unwrap();
+        let optimized = session.optimize(&plan).unwrap_or_else(|e| panic!("Q{q}: {e}"));
+        let graph = StageGraph::compile(&optimized).unwrap();
+        for stage in graph.stages.iter().filter(|s| s.id != graph.sink) {
+            let consumer = graph.stage(graph.consumers(stage.id)[0]);
+            let side = graph.input_index(consumer.id, stage.id).unwrap();
+            let read = columns_read(consumer, side);
+            for name in stage.output_schema().unwrap().column_names() {
+                assert!(
+                    read.contains(name),
+                    "Q{q}: stage {} ships '{name}' to stage {}, which never reads it\n{}",
+                    stage.id,
+                    consumer.id,
+                    graph.display()
+                );
+            }
+        }
+    }
+}
+
+/// The columns of input `side` that `stage` reads: its keys and aggregate
+/// inputs, and whatever of that input reaches its output through its
+/// transforms (the output itself counts as read; the next edge checks it).
+fn columns_read(stage: &StageSpec, side: usize) -> BTreeSet<String> {
+    let names = |exprs: &mut dyn Iterator<Item = &Expr>| -> BTreeSet<String> {
+        exprs.flat_map(Expr::referenced_columns).collect()
+    };
+    let schema = stage.output_schema().unwrap();
+    let mut needed: BTreeSet<String> =
+        schema.column_names().into_iter().map(String::from).collect();
+    for transform in stage.op.post.iter().rev() {
+        needed = match transform {
+            Transform::Filter(predicate) => {
+                needed.extend(predicate.referenced_columns());
+                needed
+            }
+            Transform::Project(exprs) => {
+                names(&mut exprs.iter().filter(|(_, n)| needed.contains(n)).map(|(e, _)| e))
+            }
+            Transform::PartialAggregate { group_by, aggregates } => names(
+                &mut group_by.iter().map(|(e, _)| e).chain(aggregates.iter().map(|a| &a.expr)),
+            ),
+        };
+    }
+    match &stage.op.core {
+        CoreOp::HashJoin { build_schema, probe_schema, build_keys, probe_keys, join_type } => {
+            let (input, keys) =
+                if side == 0 { (build_schema, build_keys) } else { (probe_schema, probe_keys) };
+            let mut read: BTreeSet<String> =
+                keys.iter().map(|&k| input.field(k).name.clone()).collect();
+            if side == 1 || matches!(join_type, JoinType::Inner | JoinType::Left) {
+                read.extend(
+                    input
+                        .column_names()
+                        .into_iter()
+                        .filter(|n| needed.contains(*n))
+                        .map(String::from),
+                );
+            }
+            read
+        }
+        CoreOp::HashAggregate { group_by, aggregates, .. } => {
+            names(&mut group_by.iter().map(|(e, _)| e).chain(aggregates.iter().map(|a| &a.expr)))
+        }
+        CoreOp::Sort { keys, .. } => {
+            needed.extend(keys.iter().map(|(k, _)| k.clone()));
+            needed
+        }
+        CoreOp::Limit { .. } | CoreOp::Map { .. } => needed,
+    }
+}
 
 /// Deterministic mini-rng for plan generation (the proptest shim hands us a
 /// seed; everything else is derived).
@@ -329,7 +413,7 @@ fn plans_agree(plan: &LogicalPlan, a: &Batch, b: &Batch) -> bool {
     if has_nondeterministic_subset(plan) {
         a.num_rows() == b.num_rows()
     } else {
-        canonical_rows(a) == canonical_rows(b)
+        results_match(a, b)
     }
 }
 

@@ -5,7 +5,7 @@
 
 use quokka::engine::cluster::{run_process_query, KillPlan, ProcessQuery};
 use quokka::process::tpch_process_inputs;
-use quokka::{same_result, EngineConfig, QuokkaSession, TransportConfig};
+use quokka::{results_match, EngineConfig, QuokkaSession, TransportConfig};
 use std::time::Duration;
 
 fn workerd_bin() -> std::path::PathBuf {
@@ -66,7 +66,7 @@ fn two_process_cluster_matches_reference() {
     // this also exercises the remainder-spreading worker placement.
     let outcome = run(3, sf, 3, 2, 1_000, None);
     assert!(
-        same_result(&expected, &outcome.batch),
+        results_match(&expected, &outcome.batch),
         "Q3 across two worker processes diverged from the reference executor"
     );
     let peers = &outcome.metrics.transport_peers;
@@ -105,7 +105,7 @@ fn sigkill_worker_process_mid_query_recovers_exactly() {
     let outcome =
         run(3, sf, workers, processes, 150, Some(KillPlan { victim_process, after_transactions }));
     assert!(
-        same_result(&expected, &outcome.batch),
+        results_match(&expected, &outcome.batch),
         "Q3 diverged after SIGKILLing worker process {victim_process}; \
          reproduce with QUOKKA_PROC_SEED={seed}"
     );

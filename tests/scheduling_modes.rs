@@ -1,7 +1,7 @@
 //! Integration tests: scheduling-policy and execution-mode ablations (the
 //! Fig. 7 / Fig. 8 axes) must never change query answers, only performance.
 
-use quokka::{same_result, EngineConfig, QuokkaSession, SchedulePolicy};
+use quokka::{results_match, EngineConfig, QuokkaSession, SchedulePolicy};
 
 fn session() -> QuokkaSession {
     QuokkaSession::tpch(0.002, 3).expect("generate TPC-H data")
@@ -21,7 +21,7 @@ fn dynamic_and_static_batching_agree() {
             let config = EngineConfig::quokka(3).with_schedule(policy);
             let outcome = session.run_with(&plan, &config).unwrap();
             assert!(
-                same_result(&reference, &outcome.batch),
+                results_match(&reference, &outcome.batch),
                 "Q{q} diverged under policy {policy:?}"
             );
         }
@@ -35,7 +35,7 @@ fn static_batching_still_processes_every_partition() {
     let reference = session.run_reference(&plan).unwrap();
     let config = EngineConfig::quokka(2).with_schedule(SchedulePolicy::StaticBatch { batch: 128 });
     let outcome = session.run_with(&plan, &config).unwrap();
-    assert!(same_result(&reference, &outcome.batch));
+    assert!(results_match(&reference, &outcome.batch));
 }
 
 #[test]
@@ -45,7 +45,7 @@ fn more_channels_than_workers_is_supported() {
     let reference = session.run_reference(&plan).unwrap();
     let config = EngineConfig::quokka(2).with_channels_per_stage(5);
     let outcome = session.run_with(&plan, &config).unwrap();
-    assert!(same_result(&reference, &outcome.batch));
+    assert!(results_match(&reference, &outcome.batch));
 }
 
 #[test]
@@ -54,5 +54,5 @@ fn single_worker_cluster_works() {
     let plan = quokka::tpch::query(1).unwrap();
     let reference = session.run_reference(&plan).unwrap();
     let outcome = session.run_with(&plan, &EngineConfig::quokka(1)).unwrap();
-    assert!(same_result(&reference, &outcome.batch));
+    assert!(results_match(&reference, &outcome.batch));
 }

@@ -19,7 +19,7 @@
 use quokka::plan::Catalog;
 use quokka::tpch::queries::sql::{sql_text, SQL_QUERIES};
 use quokka::{
-    same_result, AdmissionConfig, Batch, ChaosPlan, Column, DataType, EngineConfig,
+    results_match, AdmissionConfig, Batch, ChaosPlan, Column, DataType, EngineConfig,
     PlanCacheConfig, QuokkaError, QuokkaSession, Schema,
 };
 use std::sync::Arc;
@@ -61,7 +61,7 @@ fn repeated_sql_hits_the_cache_and_stamps_metrics() {
     let hit = second.collect().unwrap();
     assert!(!miss.metrics.plan_cache_hit);
     assert!(hit.metrics.plan_cache_hit, "the executed metrics must record the hit");
-    assert!(same_result(&miss.batch, &hit.batch));
+    assert!(results_match(&miss.batch, &hit.batch));
 
     let stats = session.plan_cache().stats();
     assert_eq!(stats.hits, 2);
@@ -82,7 +82,7 @@ fn literal_variants_share_a_template_but_replan() {
     // And the literals were honoured, not swapped: the results differ.
     let ten = session.sql("SELECT count(*) AS n FROM t WHERE x < 10").unwrap().collect().unwrap();
     let forty = session.sql("SELECT count(*) AS n FROM t WHERE x < 40").unwrap().collect().unwrap();
-    assert!(!same_result(&ten.batch, &forty.batch), "cached variants must keep their literals");
+    assert!(!results_match(&ten.batch, &forty.batch), "cached variants must keep their literals");
 }
 
 #[test]
@@ -98,7 +98,7 @@ fn catalog_changes_invalidate_and_replan_against_new_data() {
     assert!(!handle.is_plan_cache_hit(), "a catalog change must invalidate");
     let after = handle.collect().unwrap();
     assert!(
-        !same_result(&before.batch, &after.batch),
+        !results_match(&before.batch, &after.batch),
         "the re-planned query must see the new data (100, not 6)"
     );
     assert!(session.plan_cache().stats().invalidations > 0, "stale entries must be purged");
@@ -167,11 +167,11 @@ fn check_cached_parity(queries: &[usize]) {
         let cold = off.sql(text).unwrap().collect().unwrap();
         assert!(!cold.metrics.plan_cache_hit, "Q{q}: cache-off run must not hit");
         assert!(
-            same_result(&hit.batch, &cold.batch),
+            results_match(&hit.batch, &cold.batch),
             "Q{q}: cached plan diverged from the uncached run"
         );
         assert!(
-            same_result(&hit.batch, &expected),
+            results_match(&hit.batch, &expected),
             "Q{q}: cached plan diverged from the reference executor"
         );
     }
@@ -211,13 +211,13 @@ fn chaos_kills_neither_poison_the_cache_nor_strand_admission() {
         assert!(outcome.metrics.plan_cache_hit, "Q{q}: chaos run started from the cache");
         assert!(outcome.metrics.chaos_events > 0, "Q{q}: the kill must actually fire");
         assert!(
-            same_result(&outcome.batch, &expected),
+            results_match(&outcome.batch, &expected),
             "Q{q}: cached plan diverged under a chaos worker kill"
         );
         // The cache survives the crash: the next hit is still correct.
         let again = session.sql(text).unwrap();
         assert!(again.is_plan_cache_hit(), "Q{q}: chaos must not poison the cache");
-        assert!(same_result(&again.collect().unwrap().batch, &expected));
+        assert!(results_match(&again.collect().unwrap().batch, &expected));
     }
     assert_eq!(session.admission().running(), 0, "chaos must not strand admission slots");
     assert_eq!(session.admission().queue_depth(), 0);
@@ -276,7 +276,7 @@ fn bounded_queue_serializes_fairly_under_contention() {
             let expected = Arc::clone(&expected);
             std::thread::spawn(move || {
                 let outcome = session.sql(sql_text(6).unwrap()).unwrap().collect().unwrap();
-                assert!(same_result(&outcome.batch, &expected), "thread {i} diverged");
+                assert!(results_match(&outcome.batch, &expected), "thread {i} diverged");
                 outcome.metrics
             })
         })
@@ -308,12 +308,12 @@ fn failed_and_recovered_queries_release_their_slots() {
     let expected = session.tpch_query(12).unwrap().collect_reference().unwrap();
     let outcome = session.sql(sql_text(12).unwrap()).unwrap().collect_with(&faulty).unwrap();
     assert_eq!(outcome.metrics.failures, 1, "the injected failure must fire");
-    assert!(same_result(&outcome.batch, &expected));
+    assert!(results_match(&outcome.batch, &expected));
     assert!(outcome.metrics.admitted_memory_bytes > 0);
     assert_eq!(session.admission().running(), 0, "recovered query leaked its slot");
     // A follow-up query finds the full capacity available again.
     let again = session.sql(sql_text(12).unwrap()).unwrap().collect().unwrap();
-    assert!(same_result(&again.batch, &expected));
+    assert!(results_match(&again.batch, &expected));
     assert_eq!(session.admission().running(), 0);
 }
 

@@ -6,7 +6,8 @@ use proptest::prelude::*;
 use quokka::batch::codec::{decode_partition, encode_partition};
 use quokka::batch::compute::hash_partition;
 use quokka::{
-    canonical_rows, same_result, Batch, Column, DataType, EngineConfig, QuokkaSession, Schema,
+    canonical_rows, results_match, same_result, Batch, Column, DataType, EngineConfig,
+    QuokkaSession, Schema,
 };
 
 #[test]
@@ -35,8 +36,60 @@ fn session_round_trip_on_custom_tables() {
     let outcome = session.run(&plan).unwrap();
     assert_eq!(outcome.batch.num_rows(), 7);
     let expected = session.run_reference(&plan).unwrap();
-    assert!(same_result(&expected, &outcome.batch));
+    assert!(results_match(&expected, &outcome.batch));
     assert!(outcome.metrics.output_rows >= 7);
+}
+
+/// Two-phase aggregation on the distributed engine: grouped and global
+/// aggregates of every mergeable kind, over inputs that keep every row,
+/// some rows and no row at all, keyed so that both the pre-aggregated
+/// (`bucket`: four values per batch) and the row-by-row (`tag`: plain
+/// strings) partial branches run. A global aggregate over no rows still
+/// returns its single row (count 0, sum 0, avg 0.0), which the merge stage
+/// makes since the partials of empty batches emit nothing.
+#[test]
+fn two_phase_aggregates_match_the_reference_on_the_engine() {
+    let session = QuokkaSession::new(EngineConfig::quokka(3));
+    let schema = Schema::from_pairs(&[
+        ("k", DataType::Int64),
+        ("bucket", DataType::Int64),
+        ("tag", DataType::Utf8),
+        ("v", DataType::Float64),
+    ]);
+    let batch = Batch::try_new(
+        schema.clone(),
+        vec![
+            Column::Int64((0..2000).collect()),
+            Column::Int64((0..2000).map(|i| i % 4).collect()),
+            Column::Utf8((0..2000).map(|i| format!("t{}", i % 5)).collect()),
+            Column::Float64((0..2000).map(|i| f64::from(i) * 0.37).collect()),
+        ],
+    )
+    .unwrap();
+    session.register_table("facts", schema, batch.chunks(256));
+    let aggregates = "count(v) AS n, sum(k) AS sk, sum(v) AS sv, avg(v) AS av, \
+                      min(v) AS lo, max(k) AS hi";
+    for filter in ["k >= 0", "k < 700", "k > 5000"] {
+        for key in ["", "bucket", "tag"] {
+            let sql = if key.is_empty() {
+                format!("SELECT {aggregates} FROM facts WHERE {filter}")
+            } else {
+                format!("SELECT {key}, {aggregates} FROM facts WHERE {filter} GROUP BY {key}")
+            };
+            let handle = session.sql(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let outcome = handle.collect().unwrap();
+            let expected = handle.collect_reference().unwrap();
+            assert!(results_match(&expected, &outcome.batch), "{sql}\n{:?}", outcome.batch);
+            if key.is_empty() && filter == "k > 5000" {
+                let row = outcome.batch.row(0);
+                assert_eq!(outcome.batch.num_rows(), 1);
+                assert_eq!(row[0], quokka::ScalarValue::Int64(0));
+                assert_eq!(row[1], quokka::ScalarValue::Int64(0));
+                assert_eq!(row[2], quokka::ScalarValue::Float64(0.0));
+                assert_eq!(row[3], quokka::ScalarValue::Float64(0.0));
+            }
+        }
+    }
 }
 
 #[test]
@@ -128,6 +181,7 @@ proptest! {
         let reversed: Vec<usize> = (0..batch.num_rows()).rev().collect();
         let shuffled = batch.take(&reversed).unwrap();
         prop_assert!(same_result(&batch, &shuffled));
+        prop_assert!(results_match(&batch, &shuffled));
     }
 
     /// Chunking and re-concatenating a batch is the identity.

@@ -3,7 +3,7 @@
 //! simulated cluster, verified against the reference executor and against
 //! the hand-built TPC-H plans.
 
-use quokka::{same_result, QuokkaSession, SqlError};
+use quokka::{results_match, QuokkaSession, SqlError};
 
 /// A small TPC-H session; each test generates its own (SF 0.002 is cheap).
 fn tpch_session() -> QuokkaSession {
@@ -24,7 +24,7 @@ fn sql_tpch_queries_run_distributed_and_match_hand_built_plans() {
         let outcome = handle.collect().unwrap_or_else(|e| panic!("Q{q} failed: {e}"));
         let hand = session.run_reference(&quokka::tpch::query(q).unwrap()).unwrap();
         assert!(
-            same_result(&outcome.batch, &hand),
+            results_match(&outcome.batch, &hand),
             "Q{q}: distributed SQL result diverges from the hand-built plan"
         );
         assert!(outcome.metrics.tasks_executed > 0);
@@ -53,10 +53,10 @@ fn all_22_sql_queries_parse_bind_optimize_and_match_reference() {
         let bound = handle
             .collect_reference()
             .unwrap_or_else(|e| panic!("Q{q} failed on the reference executor: {e}"));
-        assert!(same_result(&bound, &hand), "Q{q}: bound SQL plan diverges from the hand plan");
+        assert!(results_match(&bound, &hand), "Q{q}: bound SQL plan diverges from the hand plan");
         let optimized_result = session.run_reference(&optimized).unwrap();
         assert!(
-            same_result(&optimized_result, &hand),
+            results_match(&optimized_result, &hand),
             "Q{q}: optimized SQL plan diverges from the hand plan"
         );
     }
@@ -77,7 +77,7 @@ fn decorrelated_sql_queries_survive_fault_injection() {
             .collect_with(&config)
             .unwrap_or_else(|e| panic!("Q{q} failed under fault injection: {e}"));
         assert!(
-            same_result(&outcome.batch, &expected),
+            results_match(&outcome.batch, &expected),
             "Q{q}: result diverged after worker failure"
         );
         assert_eq!(outcome.metrics.failures, 1, "Q{q}: the failure must have been injected");
@@ -99,7 +99,7 @@ fn left_join_runs_distributed_with_on_filters() {
         .unwrap();
     let reference = handle.collect_reference().unwrap();
     let distributed = handle.collect().unwrap();
-    assert!(same_result(&reference, &distributed.batch));
+    assert!(results_match(&reference, &distributed.batch));
     assert_eq!(reference.num_rows(), 5);
 }
 
@@ -116,7 +116,7 @@ fn query_handle_exposes_plan_and_reference_execution() {
     assert_eq!(handle.plan().schema().unwrap().column_names(), vec!["l_shipmode", "n"]);
     let reference = handle.collect_reference().unwrap();
     let distributed = handle.collect().unwrap();
-    assert!(same_result(&reference, &distributed.batch));
+    assert!(results_match(&reference, &distributed.batch));
     assert!(reference.num_rows() > 0);
 }
 
@@ -170,7 +170,7 @@ fn select_distinct_deduplicates_on_the_cluster() {
         session.sql("SELECT DISTINCT l_shipmode FROM lineitem ORDER BY l_shipmode").unwrap();
     let distributed = handle.collect().unwrap();
     let reference = handle.collect_reference().unwrap();
-    assert!(same_result(&distributed.batch, &reference));
+    assert!(results_match(&distributed.batch, &reference));
     // TPC-H has exactly 7 ship modes; DISTINCT must collapse to them.
     assert_eq!(reference.num_rows(), 7);
 }
@@ -192,13 +192,13 @@ fn comma_from_lists_match_their_join_twins() {
         .unwrap();
     let comma_result = comma.collect().unwrap();
     let join_result = joined.collect().unwrap();
-    assert!(same_result(&comma_result.batch, &join_result.batch));
+    assert!(results_match(&comma_result.batch, &join_result.batch));
     assert!(comma_result.batch.num_rows() > 0);
     // The optimizer's filter-to-join rule must also make the comma form run
     // as cheaply: with optimization disabled the cross join shuffles the
     // cartesian product through a single channel.
     let naive = comma.collect_with(&quokka::EngineConfig::quokka(3).with_optimize(false)).unwrap();
-    assert!(same_result(&naive.batch, &comma_result.batch));
+    assert!(results_match(&naive.batch, &comma_result.batch));
 }
 
 #[test]
@@ -239,5 +239,5 @@ fn sql_runs_under_fault_injection() {
     // Kill a worker mid-query; recovery must still produce the right rows.
     let config = EngineConfig::quokka(3).with_chaos(ChaosPlan::kill_at_progress(1, 0.5));
     let outcome = handle.collect_with(&config).unwrap();
-    assert!(same_result(&outcome.batch, &expected));
+    assert!(results_match(&outcome.batch, &expected));
 }

@@ -5,8 +5,8 @@
 
 use quokka::dataframe::{col, lit};
 use quokka::{
-    same_result, Batch, ChaosPlan, Column, CostModelConfig, DataType, EngineConfig, FaultStrategy,
-    QuokkaSession, Schema,
+    results_match, Batch, ChaosPlan, Column, CostModelConfig, DataType, EngineConfig,
+    FaultStrategy, QuokkaSession, Schema,
 };
 
 /// A session whose `events` table has many input splits, so the scan-shaped
@@ -113,8 +113,8 @@ fn collect_is_equivalent_to_draining_the_stream() {
         streamed_rows.push(batch.unwrap());
     }
     let streamed = Batch::concat(&streamed_rows).unwrap();
-    assert!(same_result(&collected.batch, &streamed));
-    assert!(same_result(&collected.batch, &frame.collect_reference().unwrap()));
+    assert!(results_match(&collected.batch, &streamed));
+    assert!(results_match(&collected.batch, &frame.collect_reference().unwrap()));
 }
 
 #[test]
@@ -149,7 +149,7 @@ fn restart_baseline_collects_but_refuses_mid_stream_restart() {
     // discard the first attempt and rerun transparently — exactly the old
     // blocking behavior.
     let outcome = frame.collect().unwrap();
-    assert!(same_result(&outcome.batch, &expected));
+    assert!(results_match(&outcome.batch, &expected));
     assert_eq!(outcome.metrics.failures, 1);
 
     // The incremental path cannot retract rows it already handed out: once
@@ -217,7 +217,7 @@ fn sql_and_tpch_handles_stream_too() {
     let batch = stream.next_batch().unwrap().expect("Q1 has rows");
     assert!(stream.next_batch().unwrap().is_none());
     let expected = session.tpch_query(1).unwrap().collect_reference().unwrap();
-    assert!(same_result(&batch, &expected));
+    assert!(results_match(&batch, &expected));
 
     // EXPLAIN statements stream their rendering.
     let mut stream =

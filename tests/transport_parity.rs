@@ -4,7 +4,9 @@
 //! transport, and the fault-tolerance machinery must recover identically
 //! when shuffle traffic travels over the wire.
 
-use quokka::{same_result, ChaosPlan, EngineConfig, QuokkaSession, TransportConfig, TransportKind};
+use quokka::{
+    results_match, ChaosPlan, EngineConfig, QuokkaSession, TransportConfig, TransportKind,
+};
 
 fn session() -> QuokkaSession {
     QuokkaSession::tpch(0.002, 3).expect("generate TPC-H data")
@@ -25,11 +27,11 @@ fn all_queries_match_reference_and_inproc_over_tcp() {
         let inproc = session.run_with(&plan, &EngineConfig::quokka(3)).unwrap();
         let tcp = session.run_with(&plan, &tcp(3)).unwrap();
         assert!(
-            same_result(&expected, &tcp.batch),
+            results_match(&expected, &tcp.batch),
             "Q{q} over tcp diverged from the reference executor"
         );
         assert!(
-            same_result(&inproc.batch, &tcp.batch),
+            results_match(&inproc.batch, &tcp.batch),
             "Q{q} over tcp diverged from the inproc transport"
         );
     }
@@ -72,7 +74,7 @@ fn worker_failure_recovers_exactly_over_tcp() {
         let config = tcp(3).with_chaos(ChaosPlan::kill_at_progress(1, fraction));
         let outcome = session.run_with(&plan, &config).unwrap();
         assert!(
-            same_result(&expected, &outcome.batch),
+            results_match(&expected, &outcome.batch),
             "tcp recovery diverged when failing at {fraction}"
         );
         assert_eq!(outcome.metrics.failures, 1);
@@ -90,7 +92,7 @@ fn transport_env_override_applies_to_runs() {
 
     std::env::set_var("QUOKKA_TRANSPORT", "tcp");
     let outcome = session.run_with(&plan, &EngineConfig::quokka(3)).unwrap();
-    assert!(same_result(&expected, &outcome.batch));
+    assert!(results_match(&expected, &outcome.batch));
     assert!(
         !outcome.metrics.transport_peers.is_empty(),
         "QUOKKA_TRANSPORT=tcp must route shuffle over the wire"
@@ -98,7 +100,7 @@ fn transport_env_override_applies_to_runs() {
 
     std::env::set_var("QUOKKA_TRANSPORT", "inproc");
     let outcome = session.run_with(&plan, &EngineConfig::quokka(3)).unwrap();
-    assert!(same_result(&expected, &outcome.batch));
+    assert!(results_match(&expected, &outcome.batch));
     assert!(outcome.metrics.transport_peers.is_empty());
 
     std::env::set_var("QUOKKA_TRANSPORT", "carrier-pigeon");
