@@ -18,16 +18,16 @@
 //!   concat, arithmetic, comparisons, LIKE, hashing, hash partitioning,
 //!   sorting).
 //! * [`encoding`] — compressed column representations (dictionary strings,
-//!   bit-packed integers, XOR-compressed floats) that the kernels, the wire
-//!   format, and the durable-backup codec all understand natively.
+//!   bit-packed integers, XOR-compressed floats) that the kernels and the
+//!   wire format both understand natively.
 //! * [`rowkey`] — compact binary row-key encoding (with a `u64` fast path)
 //!   backing the hash-based group-by and join operators.
-//! * [`codec`] — a compact binary encoding used for upstream backup,
-//!   spooling and checkpoints, so the storage cost model can charge for real
-//!   byte counts.
-//! * [`wire`] — the dependency-free length-prefixed encoding used by the
-//!   transport data plane (TCP shuffle frames written into pooled slabs) and
-//!   by every other hand-written protocol layer.
+//! * [`wire`] — the one binary format: batch frames, the partition payload
+//!   a task's output [`Slice`] is encoded to once and then backed up,
+//!   spooled, shipped and replayed as (so the cost model charges real byte
+//!   counts), the socket framing both planes share, and the primitives of
+//!   every other hand-written protocol. [`codec`] keeps the partition
+//!   functions' older names.
 
 pub mod batch;
 pub mod codec;
@@ -44,3 +44,4 @@ pub use column::Column;
 pub use datatype::{DataType, ScalarValue};
 pub use encoding::{DictColumn, PackedIntColumn, PackedLogical, XorFloatColumn};
 pub use schema::{Field, Schema};
+pub use wire::Slice;

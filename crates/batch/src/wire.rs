@@ -1,20 +1,25 @@
-//! Length-prefixed binary wire format for the transport data plane.
+//! The one binary format of the engine: batches, partitions and frames.
 //!
-//! [`codec`](crate::codec) serialises batches for *storage* (backup, spool,
-//! checkpoint) and allocates a fresh buffer per call; this module serialises
-//! batches for the *wire*. The difference that matters is allocation
-//! discipline: the TCP transport encodes every push into a reusable slab
-//! (`&mut Vec<u8>`) drawn from a pool, so nothing here allocates a transient
-//! buffer. The primitives (`put_*` / [`WireReader`]) are also the foundation
-//! for every other hand-written protocol in the engine — plan shipping and
-//! the driver RPC in process mode — because the vendored `serde` shim is a
-//! no-op and all serialisation is explicit.
+//! A task's output slice is encoded once, where it is cut: a [`Slice`]
+//! pairs the batches with their partition payload ([`encode_partition`]).
+//! That payload is what the upstream backup and the durable spool store,
+//! what the data plane charges to the cost model and the shuffle metrics,
+//! what the TCP lane writes after its push header, and what a replay
+//! re-pushes. The same batch frames carry base-table splits and sink
+//! partitions over the process-mode control connection, and the `put_*` /
+//! [`WireReader`] primitives underlie every other hand-written protocol
+//! (the GCS records and the driver RPC), because the vendored `serde` shim
+//! is a no-op and all serialisation is explicit. Both sockets, the data
+//! plane's and the control plane's, cut their byte streams into messages
+//! with [`write_frame`] / [`read_frame`] under one size limit,
+//! [`MAX_FRAME_BYTES`].
 //!
 //! Properties:
-//! * dependency-free: plain `Vec<u8>` and big-endian `to_be_bytes`, no
-//!   `bytes` shim;
+//! * dependency-free: plain `Vec<u8>` and big-endian `to_be_bytes`;
 //! * round-trip exact for all column types: `Float64` travels as raw IEEE-754
-//!   bits (`to_bits`/`from_bits`), so NaN payloads and signed zeros survive;
+//!   bits (`to_bits`/`from_bits`), so NaN payloads and signed zeros survive,
+//!   and re-encoding a decoded batch reproduces the exact bytes (a replayed
+//!   partition is byte-identical to the original);
 //! * corruption-safe: every decode failure is a typed
 //!   [`QuokkaError::Storage`], never a panic, and length fields are bounds-
 //!   checked against the remaining buffer before any allocation is sized
@@ -27,17 +32,23 @@ use crate::encoding::{
     width_for, BitReader, BitWriter, DictColumn, PackedIntColumn, PackedLogical, XorFloatColumn,
 };
 use crate::schema::{Field, Schema};
+use bytes::Bytes;
 use quokka_common::{QuokkaError, Result};
+use std::io::{Read, Write};
 use std::sync::Arc;
 
 /// Magic prefix of a batch wire frame ("QKWF").
 pub const WIRE_MAGIC: u32 = 0x514B_5746;
 
-// Row-count allowance for frames whose compressed payload is smaller than
-// one byte per row (e.g. all-equal bit-packed columns). Far above any batch
-// the engine produces, far below anything that could size a harmful
-// allocation.
-pub(crate) const MAX_SMALL_FRAME_ROWS: usize = 1 << 22;
+/// Row-count allowance for batches whose compressed payload is smaller than
+/// one bit per row (all-equal columns pack at width zero). Far above any
+/// batch the engine produces, far below anything that could size a harmful
+/// allocation: the most a decoder expands one such column to.
+pub const MAX_SMALL_FRAME_ROWS: usize = 1 << 22;
+
+/// Largest frame either socket accepts: a length prefix beyond it is
+/// corruption, and the connection is dropped before anything is read.
+pub const MAX_FRAME_BYTES: u32 = 1 << 30;
 
 // Per-column encoding tags (one byte ahead of every column payload).
 const ENC_PLAIN: u8 = 0;
@@ -50,7 +61,7 @@ const ENC_BOOL_PACKED: u8 = 4;
 const ENC_SCALED: u8 = 5;
 
 // ---------------------------------------------------------------------------
-// Write primitives: append to a caller-owned slab.
+// Write primitives: append to a caller-owned buffer.
 // ---------------------------------------------------------------------------
 
 pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
@@ -241,7 +252,7 @@ fn tag_dtype(tag: u8) -> Result<DataType> {
 }
 
 /// Upper bound on the byte length [`encode_batch_into`] will append for
-/// `batch`, used to size slab reservations up front. Opportunistic column
+/// `batch`, used to reserve the buffer up front. Opportunistic column
 /// compression can only shrink the frame below this bound.
 pub fn encoded_batch_len(batch: &Batch) -> usize {
     let mut len = 4 + 4 + 8; // magic + ncols + nrows
@@ -463,8 +474,8 @@ fn put_xor(buf: &mut Vec<u8>, x: &XorFloatColumn) {
     put_bits(buf, x.words(), x.bit_len());
 }
 
-/// Append the wire frame for one batch to `buf` (a reusable slab — this
-/// never allocates a transient buffer of its own).
+/// Append the frame for one batch to `buf` (this never allocates a
+/// transient buffer of its own).
 pub fn encode_batch_into(batch: &Batch, buf: &mut Vec<u8>) {
     buf.reserve(encoded_batch_len(batch));
     put_u32(buf, WIRE_MAGIC);
@@ -708,11 +719,9 @@ fn decode_plain_column(r: &mut WireReader<'_>, dt: DataType, rows: usize) -> Res
             )
         }
         DataType::Bool => {
-            let mut out = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                out.push(r.bool()?);
-            }
-            Column::Bool(out)
+            // One byte per row, all present before the column is sized.
+            let mut bytes = WireReader::new(r.take(rows, "Bool column")?);
+            Column::Bool((0..rows).map(|_| bytes.bool()).collect::<Result<_>>()?)
         }
         DataType::Utf8 => {
             let mut out = Vec::with_capacity(rows.min(r.remaining() / 4 + 1));
@@ -737,36 +746,121 @@ pub fn decode_batch(data: &[u8]) -> Result<Batch> {
     Ok(batch)
 }
 
-/// Append the wire frame for a slice of batches (one shuffle push) to `buf`.
-pub fn encode_batches_into(batches: &[Batch], buf: &mut Vec<u8>) {
-    put_u32(buf, batches.len() as u32);
-    for b in batches {
-        encode_batch_into(b, buf);
+/// Encode one data partition (the batches of one output slice): a `u32`
+/// batch count, then that many batch frames.
+pub fn encode_partition(batches: &[Batch]) -> Bytes {
+    let mut buf = Vec::new();
+    put_u32(&mut buf, batches.len() as u32);
+    for batch in batches {
+        encode_batch_into(batch, &mut buf);
     }
+    Bytes::from(buf)
 }
 
-/// Decode a multi-batch frame from the reader.
-pub fn decode_batches_from(r: &mut WireReader<'_>) -> Result<Vec<Batch>> {
+/// Decode a payload produced by [`encode_partition`]; the buffer must hold
+/// exactly one partition.
+pub fn decode_partition(data: &[u8]) -> Result<Vec<Batch>> {
+    let mut r = WireReader::new(data);
     let count = r.u32()? as usize;
-    if count > r.remaining().max(1) {
+    // Every batch frame is at least a 16-byte header.
+    if count > r.remaining() / 16 {
         return Err(QuokkaError::Storage(format!(
-            "wire: frame claims {count} batches but only {} bytes follow",
+            "wire: partition claims {count} batches but only {} bytes follow",
             r.remaining()
         )));
     }
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        out.push(decode_batch_from(r)?);
+        out.push(decode_batch_from(&mut r)?);
     }
+    r.expect_end()?;
     Ok(out)
 }
 
-/// Decode a standalone multi-batch frame; the buffer must contain exactly one.
-pub fn decode_batches(data: &[u8]) -> Result<Vec<Batch>> {
-    let mut r = WireReader::new(data);
-    let batches = decode_batches_from(&mut r)?;
-    r.expect_end()?;
-    Ok(batches)
+/// One output slice of a task: its batches plus their partition payload,
+/// encoded once, where the slice is cut. Backups, spools and the TCP lane
+/// store or ship the payload; an in-process delivery hands the batches over,
+/// so only a wire receiver decodes.
+#[derive(Debug, Clone)]
+pub struct Slice {
+    batches: Vec<Batch>,
+    payload: Bytes,
+}
+
+impl Slice {
+    /// Cut a slice from `batches`, encoding them once.
+    pub fn new(batches: Vec<Batch>) -> Self {
+        let payload = encode_partition(&batches);
+        Slice { batches, payload }
+    }
+
+    /// Rebuild a slice from its stored payload (a backup or spool read).
+    pub fn decode(payload: Bytes) -> Result<Self> {
+        Ok(Slice { batches: decode_partition(&payload)?, payload })
+    }
+
+    pub fn batches(&self) -> &[Batch] {
+        &self.batches
+    }
+
+    pub fn payload(&self) -> &Bytes {
+        &self.payload
+    }
+
+    /// The batches' plain in-memory footprint, next to the payload's
+    /// encoded size.
+    pub fn raw_bytes(&self) -> u64 {
+        self.batches.iter().map(|b| b.byte_size() as u64).sum()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Socket frames: a `u32` length prefix, then the message.
+// ---------------------------------------------------------------------------
+
+/// Write one frame whose message is `parts` back to back.
+pub fn write_frame(w: &mut impl Write, parts: &[&[u8]]) -> std::io::Result<()> {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let len = u32::try_from(len).ok().filter(|&len| len <= MAX_FRAME_BYTES).ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"),
+        )
+    })?;
+    w.write_all(&len.to_be_bytes())?;
+    for part in parts {
+        w.write_all(part)?;
+    }
+    Ok(())
+}
+
+/// Read one frame. `Ok(None)` on a clean EOF before the length prefix (the
+/// peer closed the connection). Beyond its first 64 KiB the buffer grows
+/// with the bytes that actually arrive, so a garbage length prefix costs no
+/// allocation of its claimed size.
+pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
+    let mut header = [0u8; 4];
+    match r.read_exact(&mut header) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) => return Err(e),
+    }
+    let len = u32::from_be_bytes(header);
+    if len > MAX_FRAME_BYTES {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("frame length {len} exceeds the {MAX_FRAME_BYTES}-byte limit"),
+        ));
+    }
+    let mut message = Vec::with_capacity((len as usize).min(1 << 16));
+    r.take(u64::from(len)).read_to_end(&mut message)?;
+    if message.len() != len as usize {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("frame cut short at {} of {len} bytes", message.len()),
+        ));
+    }
+    Ok(Some(message))
 }
 
 #[cfg(test)]
@@ -912,16 +1006,15 @@ mod tests {
     #[test]
     fn slab_reuse_appends_cleanly() {
         let b = sample();
-        let mut slab = Vec::with_capacity(1024);
-        encode_batch_into(&b, &mut slab);
-        let first = slab.clone();
-        slab.clear();
-        encode_batch_into(&b, &mut slab);
-        assert_eq!(slab, first);
-        // Multi-frame: two batches written back to back decode in sequence.
-        slab.clear();
-        encode_batches_into(&[b.clone(), b.slice(0, 1)], &mut slab);
-        let decoded = decode_batches(&slab).unwrap();
+        let mut buf = Vec::with_capacity(1024);
+        encode_batch_into(&b, &mut buf);
+        let first = buf.clone();
+        buf.clear();
+        encode_batch_into(&b, &mut buf);
+        assert_eq!(buf, first);
+        // A partition: two batch frames back to back decode in sequence.
+        let partition = encode_partition(&[b.clone(), b.slice(0, 1)]);
+        let decoded = decode_partition(&partition).unwrap();
         assert_eq!(decoded.len(), 2);
         assert_eq!(decoded[1].num_rows(), 1);
     }
@@ -934,9 +1027,7 @@ mod tests {
         let decoded = decode_batch(&buf).unwrap();
         assert_eq!(decoded.num_rows(), 0);
         assert_eq!(decoded.schema(), b.schema());
-        buf.clear();
-        encode_batches_into(&[], &mut buf);
-        assert!(decode_batches(&buf).unwrap().is_empty());
+        assert!(decode_partition(&encode_partition(&[])).unwrap().is_empty());
     }
 
     #[test]

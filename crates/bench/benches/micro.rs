@@ -9,8 +9,8 @@
 //! * the hash-join and aggregation kernels.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use quokka::batch::codec::encode_partition;
 use quokka::batch::compute::{hash_partition, in_list, like, sort_batch, SortKey};
+use quokka::batch::wire::encode_partition;
 use quokka::common::ids::ChannelAddr;
 use quokka::gcs::tables::{
     ChannelState, Gcs, LineageRecord, LineageSource, PartitionEntry, TaskCommit, TaskEntry,
@@ -116,9 +116,9 @@ fn bench_join_and_aggregate(c: &mut Criterion) {
     c.bench_function("hash_join_build_and_probe", |b| {
         b.iter(|| {
             let mut op = spec.instantiate().unwrap();
-            op.push(0, &build).unwrap();
+            op.push(0, build.clone()).unwrap();
             op.finish_input(0).unwrap();
-            op.push(1, &probe).unwrap()
+            op.push(1, probe.clone()).unwrap()
         })
     });
 
@@ -130,7 +130,7 @@ fn bench_join_and_aggregate(c: &mut Criterion) {
     c.bench_function("hash_aggregate_8k_rows", |b| {
         b.iter(|| {
             let mut op = agg_spec.instantiate().unwrap();
-            op.push(0, &probe).unwrap();
+            op.push(0, probe.clone()).unwrap();
             op.finish().unwrap()
         })
     });

@@ -102,10 +102,10 @@ fn time_ms(mut f: impl FnMut()) -> f64 {
 /// Drive a fresh instance of `spec` over `inputs` (one `Vec<Batch>` per
 /// operator input) and return the total output rows, so the optimizer
 /// cannot discard the work.
-fn drive(spec: &OperatorSpec, inputs: &[Vec<Batch>]) -> usize {
+fn drive(spec: &OperatorSpec, inputs: Vec<Vec<Batch>>) -> usize {
     let mut op = spec.instantiate().expect("instantiate operator");
     let mut rows = 0;
-    for (input, batches) in inputs.iter().enumerate() {
+    for (input, batches) in inputs.into_iter().enumerate() {
         for batch in batches {
             rows += op
                 .push(input, batch)
@@ -194,19 +194,18 @@ fn main() {
             "revenue",
         )],
     });
-    let expected = drive(&agg_spec, std::slice::from_ref(&agg_plain));
-    assert_eq!(
-        expected,
-        drive(&agg_spec, std::slice::from_ref(&agg_encoded)),
-        "group-by results diverged"
-    );
+    let expected = drive(&agg_spec, vec![agg_plain]);
+    assert_eq!(expected, drive(&agg_spec, vec![agg_encoded.clone()]), "group-by results diverged");
+    // The operator takes its input; the encoded runs' copies are made
+    // untimed, while decode-first builds its own input inside the timing.
+    let mut copies = vec![vec![agg_encoded.clone()]; REPS];
     let mut kernels = vec![Kernel {
         name: "dict_group_by",
         encoded_ms: time_ms(|| {
-            drive(&agg_spec, std::slice::from_ref(&agg_encoded));
+            drive(&agg_spec, copies.pop().expect("a copy per rep"));
         }),
         decode_first_ms: time_ms(|| {
-            drive(&agg_spec, &[decode_all(&agg_encoded)]);
+            drive(&agg_spec, vec![decode_all(&agg_encoded)]);
         }),
         rows,
     }];
@@ -249,15 +248,16 @@ fn main() {
     });
     let join_inputs = [build_encoded, probe_encoded];
     let join_plain = [decode_all(&join_inputs[0]), decode_all(&join_inputs[1])];
-    let expected = drive(&join_spec, &join_plain);
-    assert_eq!(expected, drive(&join_spec, &join_inputs), "join results diverged");
+    let expected = drive(&join_spec, join_plain.into());
+    assert_eq!(expected, drive(&join_spec, join_inputs.to_vec()), "join results diverged");
+    let mut copies = vec![join_inputs.to_vec(); REPS];
     kernels.push(Kernel {
         name: "packed_join",
         encoded_ms: time_ms(|| {
-            drive(&join_spec, &join_inputs);
+            drive(&join_spec, copies.pop().expect("a copy per rep"));
         }),
         decode_first_ms: time_ms(|| {
-            drive(&join_spec, &[decode_all(&join_inputs[0]), decode_all(&join_inputs[1])]);
+            drive(&join_spec, vec![decode_all(&join_inputs[0]), decode_all(&join_inputs[1])]);
         }),
         rows,
     });

@@ -4,10 +4,11 @@
 //!
 //! 1. **Raw shuffle throughput** — push a stream of Int64 slices from one
 //!    worker to another through a [`DataPlane`] (cost model disabled) and
-//!    time until the destination inbox holds every slice. For `tcp` this
-//!    covers the whole pipeline the engine uses: wire serialization into
-//!    pooled slabs, the per-peer send thread with its bounded queue, frame
-//!    reassembly, and inbox delivery over a real loopback socket.
+//!    time until the destination inbox holds every slice. Each slice is
+//!    encoded once, as the engine's producers do. For `tcp` this covers the
+//!    whole pipeline the engine uses: the per-peer send thread with its
+//!    bounded queue, frame reassembly and decoding, and inbox delivery over
+//!    a real loopback socket.
 //! 2. **End-to-end query wall clock** — TPC-H Q3 and Q9 on the distributed
 //!    runtime under each transport, with results cross-checked against each
 //!    other and the reference executor.
@@ -24,7 +25,7 @@
 //! slice, default 8192), `QUOKKA_COST_SCALE` (default 0.02, queries only),
 //! `QUOKKA_BENCH_OUT` (default `BENCH_transport.json`).
 
-use quokka::batch::{Batch, Column, DataType, Schema};
+use quokka::batch::{Batch, Column, DataType, Schema, Slice};
 use quokka::common::{ChannelAddr, MetricsRegistry, TransportConfig};
 use quokka::net::DataPlane;
 use quokka::storage::CostModel;
@@ -105,7 +106,7 @@ fn run_micro(
         let batch = slice(seq, rows);
         bytes += batch.byte_size() as u64;
         plane
-            .push(0, 1, consumer, producer.task(seq as u32), vec![batch])
+            .push(0, 1, consumer, producer.task(seq as u32), &Slice::new(vec![batch]))
             .expect("push bench slice");
     }
     // TCP delivery is asynchronous (send thread + reassembly); wait for the

@@ -7,7 +7,7 @@
 //! corresponding paper figure plots. Absolute numbers differ from the paper
 //! — the substrate is a simulated cluster, not 16 EC2 instances — but the
 //! comparisons (who wins, by roughly what factor) are the reproduction
-//! target; see EXPERIMENTS.md.
+//! target.
 //!
 //! Environment knobs shared by all binaries:
 //!

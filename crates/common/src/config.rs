@@ -294,14 +294,14 @@ pub enum TransportKind {
     /// Deliver pushes by calling straight into the destination worker's
     /// in-process inbox (the default; zero-copy, no sockets).
     Inproc,
-    /// Ship pushes over real TCP sockets: batches are encoded into pooled
-    /// byte slabs and sent by one dedicated thread per peer through a
-    /// bounded queue, so a slow consumer back-pressures its producers.
+    /// Ship pushes over real TCP sockets: each slice's encoded payload is
+    /// sent by one dedicated thread per peer through a bounded queue, so a
+    /// slow consumer back-pressures its producers.
     Tcp,
 }
 
 /// Transport data-plane tuning. Only read when [`TransportKind::Tcp`] is
-/// selected; the in-process backend has no queues or slabs.
+/// selected; the in-process backend has no queues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransportConfig {
     pub kind: TransportKind,
@@ -309,24 +309,15 @@ pub struct TransportConfig {
     /// into a full queue blocks until the send thread drains it — this is
     /// the end-to-end backpressure bound.
     pub send_queue_frames: usize,
-    /// Initial byte capacity of each pooled send slab.
-    pub slab_bytes: usize,
-    /// Maximum idle slabs retained in the pool (excess slabs are freed).
-    pub max_pooled_slabs: usize,
 }
 
 impl TransportConfig {
     /// The default in-process transport.
     pub const fn inproc() -> Self {
-        TransportConfig {
-            kind: TransportKind::Inproc,
-            send_queue_frames: 32,
-            slab_bytes: 64 * 1024,
-            max_pooled_slabs: 128,
-        }
+        TransportConfig { kind: TransportKind::Inproc, send_queue_frames: 32 }
     }
 
-    /// The TCP transport with default queue/slab sizing.
+    /// The TCP transport with the default queue sizing.
     pub const fn tcp() -> Self {
         TransportConfig { kind: TransportKind::Tcp, ..Self::inproc() }
     }
@@ -377,7 +368,7 @@ pub struct EngineConfig {
     pub admission: AdmissionConfig,
     /// Plan-cache sizing for `QuokkaSession::sql` (enabled by default).
     pub plan_cache: PlanCacheConfig,
-    /// Which transport carries shuffle pushes, and its queue/slab sizing.
+    /// Which transport carries shuffle pushes, and its send-queue sizing.
     /// The `QUOKKA_TRANSPORT` environment variable (`inproc` | `tcp`)
     /// overrides the kind (see [`EngineConfig::resolve_env`]).
     pub transport: TransportConfig,
@@ -671,7 +662,7 @@ mod tests {
 
         let cfg = EngineConfig::quokka(4).with_transport(TransportConfig::tcp());
         assert_eq!(cfg.transport.kind, TransportKind::Tcp);
-        assert_eq!(cfg.transport.slab_bytes, TransportConfig::inproc().slab_bytes);
+        assert_eq!(cfg.transport.send_queue_frames, TransportConfig::inproc().send_queue_frames);
 
         // Env override: valid values switch the kind, garbage is rejected
         // loudly. The overrides come from a map, not the process

@@ -31,7 +31,6 @@ use crate::stream::{BatchStream, StreamEvent};
 use crate::worker::{spawn_workers_for, Services};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use quokka_batch::codec::{decode_partition, encode_partition};
 use quokka_batch::wire::{self, WireReader};
 use quokka_batch::{Batch, Schema};
 use quokka_common::config::EngineConfig;
@@ -274,12 +273,12 @@ impl Drop for ControlServer {
 
 fn serve_connection(mut stream: TcpStream, state: Arc<ControlState>) {
     loop {
-        let payload = match remote::read_frame(&mut stream) {
+        let payload = match wire::read_frame(&mut stream) {
             Ok(Some(payload)) => payload,
             Ok(None) | Err(_) => return,
         };
         let response = dispatch(&payload, &state).unwrap_or_else(|e| remote::err_frame(&e));
-        if remote::write_frame(&mut stream, &response).is_err() {
+        if wire::write_frame(&mut stream, &[&response]).is_err() {
             return;
         }
     }
@@ -336,7 +335,7 @@ fn dispatch(payload: &[u8], state: &ControlState) -> Result<Vec<u8>> {
             let seq = r.u32()?;
             let encoded = r.bytes()?;
             r.expect_end()?;
-            let batches = decode_partition(encoded)?;
+            let batches = wire::decode_partition(encoded)?;
             let name = TaskName::new(stage, channel, seq);
             state.services.emit_result(name, batches);
             // Record delivery only *after* the batch is queued on the result
@@ -415,8 +414,9 @@ fn dispatch(payload: &[u8], state: &ControlState) -> Result<Vec<u8>> {
 pub struct KillPlan {
     /// Index of the workerd process to SIGKILL.
     pub victim_process: usize,
-    /// Fire once the GCS has committed at least this many transactions —
-    /// progress-based rather than wall-clock so runs are reproducible.
+    /// Fire once the GCS has committed at least this many transactions and
+    /// the victim holds operator state — progress-based rather than
+    /// wall-clock so runs are reproducible.
     pub after_transactions: u64,
 }
 
@@ -510,18 +510,31 @@ pub fn run_process_query(query: ProcessQuery) -> Result<QueryOutcome> {
 
     // The chaos arm: SIGKILL the victim process once enough GCS
     // transactions have committed *beyond* the driver's own registration
-    // commits — the baseline is captured after spawn, so the threshold
-    // counts worker task commits and the kill always lands mid-execution
-    // (after rendezvous), at the same logical point on every rerun.
+    // commits (the baseline is captured after spawn, so the threshold counts
+    // worker task commits) and the victim holds operator state: a stateful
+    // channel on one of its workers has committed a task and is not done,
+    // the process-mode twin of `CommitTally::holds_state`. The kill thus
+    // always lands mid-execution, with state for recovery to replay, at the
+    // same logical point on every rerun.
     let killer = query.kill.map(|plan| {
-        let gcs = Arc::clone(&gcs);
+        let services = Arc::clone(&services);
         let children = Arc::clone(&children);
+        let victims = ranges[plan.victim_process].clone();
         let baseline = gcs.transactions();
         thread::spawn(move || loop {
+            let gcs = &services.gcs;
             if gcs.is_query_done() || gcs.query_error().is_some() {
                 return false;
             }
-            if gcs.transactions() >= baseline + plan.after_transactions {
+            let holds_state = || {
+                gcs.all_channels().iter().any(|c| {
+                    victims.contains(&c.worker)
+                        && c.committed_seq.is_some()
+                        && !c.done
+                        && services.layout.graph.stage(c.addr.stage).is_stateful()
+                })
+            };
+            if gcs.transactions() >= baseline + plan.after_transactions && holds_state() {
                 let victim = children.lock()[plan.victim_process].take();
                 if let Some(mut child) = victim {
                     eprintln!(
@@ -695,7 +708,7 @@ pub fn run_workerd(opts: WorkerdOpts) -> Result<()> {
         .spawn(move || {
             while let Ok(event) = rx.recv() {
                 if let StreamEvent::Batch { name, batches } = event {
-                    let encoded = encode_partition(&batches);
+                    let encoded = wire::encode_partition(&batches);
                     let mut req = Vec::with_capacity(encoded.len() + 24);
                     wire::put_u8(&mut req, OP_SINK_EMIT);
                     wire::put_u32(&mut req, name.stage);
@@ -724,6 +737,14 @@ pub fn run_workerd(opts: WorkerdOpts) -> Result<()> {
         "quokka-workerd: process {} hosting workers {}..{} connected to {}",
         opts.process, my_range.start, my_range.end, opts.driver
     );
+    // The driver's failure detector only watches workers it has heard
+    // from, so report one beat of every hosted worker before any of them
+    // runs: a process killed before its forwarder's first report would
+    // otherwise never be detected.
+    for worker in my_range.clone() {
+        services.heartbeat(worker);
+    }
+    report_heartbeat(&client, opts.process as u32, &services, my_range.clone())?;
     let handles = spawn_workers_for(&services, my_range.clone());
 
     // Heartbeat forwarder: ship hosted workers' beat counters (and this
@@ -732,7 +753,6 @@ pub fn run_workerd(opts: WorkerdOpts) -> Result<()> {
     let hb_stop = Arc::clone(&stop);
     let hb_client = Arc::clone(&client);
     let hb_services = Arc::clone(&services);
-    let hb_metrics = Arc::clone(&metrics);
     let hb_range = my_range.clone();
     let hb_process = opts.process as u32;
     let hb_interval = opts.config.cluster.heartbeat_interval;
@@ -740,18 +760,9 @@ pub fn run_workerd(opts: WorkerdOpts) -> Result<()> {
         .name("quokka-workerd-heartbeat".into())
         .spawn(move || {
             while !hb_stop.load(Ordering::SeqCst) {
-                let mut req = Vec::with_capacity(24 + hb_range.len() * 12);
-                let snap = hb_metrics.snapshot(Duration::ZERO);
-                wire::put_u8(&mut req, OP_HEARTBEAT);
-                wire::put_u32(&mut req, hb_process);
-                wire::put_u64(&mut req, snap.tasks_executed);
-                wire::put_u64(&mut req, snap.recovery_tasks);
-                wire::put_u32(&mut req, hb_range.len() as u32);
-                for worker in hb_range.clone() {
-                    wire::put_u32(&mut req, worker);
-                    wire::put_u64(&mut req, hb_services.heartbeat_count(worker));
-                }
-                if let Err(e) = hb_client.request(&req) {
+                if let Err(e) =
+                    report_heartbeat(&hb_client, hb_process, &hb_services, hb_range.clone())
+                {
                     // Driver is gone; nothing to heartbeat to. The workers
                     // will panic on their next GCS access and exit.
                     eprintln!("quokka-workerd: heartbeat forwarding stopped: {e}");
@@ -788,6 +799,28 @@ pub fn run_workerd(opts: WorkerdOpts) -> Result<()> {
     drop(services);
     let _ = sink_forwarder.join();
     Ok(())
+}
+
+/// Report the beat counters of the workers `range` hosts, and this
+/// process's task totals, to the driver.
+fn report_heartbeat(
+    client: &ControlClient,
+    process: u32,
+    services: &Services,
+    range: std::ops::Range<WorkerId>,
+) -> Result<()> {
+    let mut req = Vec::with_capacity(24 + range.len() * 12);
+    let snap = services.metrics.snapshot(Duration::ZERO);
+    wire::put_u8(&mut req, OP_HEARTBEAT);
+    wire::put_u32(&mut req, process);
+    wire::put_u64(&mut req, snap.tasks_executed);
+    wire::put_u64(&mut req, snap.recovery_tasks);
+    wire::put_u32(&mut req, range.len() as u32);
+    for worker in range {
+        wire::put_u32(&mut req, worker);
+        wire::put_u64(&mut req, services.heartbeat_count(worker));
+    }
+    client.request(&req).map(|_| ())
 }
 
 #[cfg(test)]

@@ -38,9 +38,8 @@ use crate::layout::QueryLayout;
 use crate::stream::StreamEvent;
 use crate::wake::Wakeups;
 use parking_lot::Mutex;
-use quokka_batch::codec::{decode_partition, encode_partition};
 use quokka_batch::compute::hash_partition;
-use quokka_batch::{Batch, Column};
+use quokka_batch::{Batch, Column, Slice};
 use quokka_common::config::{EngineConfig, ExecutionMode, FaultStrategy, SchedulePolicy};
 use quokka_common::ids::{ChannelAddr, SeqNo, StageId, TaskName, WorkerId};
 use quokka_common::metrics::MetricsRegistry;
@@ -421,7 +420,9 @@ impl StageWorker {
     }
 
     /// Serve replay requests addressed to this worker (recovery): re-push a
-    /// backed-up (or spooled) slice to the consumer's current worker.
+    /// backed-up (or spooled) slice to the consumer's current worker. The
+    /// stored payload is pushed as it is; it is decoded once, for a
+    /// delivery that hands batches over, and never re-encoded.
     ///
     /// Failure handling is typed, not best-effort: an unreadable slice is
     /// reported to the coordinator as a lost partition (it rewinds the
@@ -444,8 +445,8 @@ impl StageWorker {
                 .or_else(|_| {
                     services.durable.get(&Services::spool_key(request.partition, request.consumer))
                 });
-            let batches = match payload.and_then(|p| decode_partition(&p)) {
-                Ok(batches) => batches,
+            let slice = match payload.and_then(Slice::decode) {
+                Ok(slice) => slice,
                 Err(_) => {
                     // The slice is gone (e.g. a chaos-wiped backup store).
                     // Flag it so the coordinator rewinds the producer and
@@ -466,7 +467,7 @@ impl StageWorker {
                 consumer_state.worker,
                 request.consumer,
                 request.partition,
-                batches,
+                &slice,
             );
             match pushed {
                 Ok(()) => {
@@ -572,7 +573,7 @@ impl StageWorker {
         let replay_mode = state.rewind_until.map(|until| seq <= until).unwrap_or(false);
         let (inputs, mut to_finish, mut finalize) =
             if replay_mode { self.replay_inputs(state, seq)? } else { self.dynamic_inputs(state)? };
-        let inputs = match inputs {
+        let mut inputs = match inputs {
             TaskInputs::NotReady => {
                 // If the channel is starved of a partition its upstream has
                 // already committed, pull it back from its backup owner.
@@ -594,7 +595,7 @@ impl StageWorker {
         }
         let rt = self.channels.get_mut(&addr).expect("runtime inserted above");
         let mut outputs: Vec<Batch> = Vec::new();
-        let lineage_source = match &inputs {
+        let lineage_source = match &mut inputs {
             TaskInputs::Splits(splits) => {
                 let scan = layout
                     .graph
@@ -602,17 +603,19 @@ impl StageWorker {
                     .scan
                     .clone()
                     .ok_or_else(|| QuokkaError::internal("split inputs on a non-scan stage"))?;
-                for split in splits {
+                for split in splits.iter() {
                     // A scan narrowed by projection pruning reads only its
                     // column subset of the shared split.
                     let batch = services.durable.read_split(&scan.table, *split, &scan.schema)?;
-                    outputs.extend(rt.op.push(0, &batch)?);
+                    outputs.extend(rt.op.push(0, batch)?);
                 }
                 LineageSource::InputSplits { splits: splits.clone() }
             }
             TaskInputs::Upstream { input_index, upstream, start_seq, partitions, .. } => {
-                for (_, batches) in partitions {
-                    for batch in batches {
+                // The operator takes the batches; the names stay for the
+                // commit and the post-commit inbox cleanup.
+                for (_, batches) in partitions.iter_mut() {
+                    for batch in std::mem::take(batches) {
                         outputs.extend(rt.op.push(*input_index, batch)?);
                     }
                 }
@@ -652,42 +655,32 @@ impl StageWorker {
         let output_rows: u64 = outputs.iter().map(|b| b.num_rows() as u64).sum();
         let strategy = services.config.fault;
 
-        // Slice the output for the consuming stage and write the upstream
-        // backup / durable spool copies (both idempotent) before publishing.
-        let slices = match consumer {
-            Some((consumer_stage, _)) => self.slice_outputs(&outputs, consumer_stage)?,
-            None => Vec::new(),
-        };
-        let mut partition_bytes = 0u64;
-        if consumer.is_some() {
-            for (consumer_addr, batches) in &slices {
-                if strategy.upstream_backup() || strategy.spools() {
-                    let payload = encode_partition(batches);
-                    partition_bytes += payload.len() as u64;
-                    if strategy.upstream_backup() {
-                        // The backup store only sees encoded bytes; record
-                        // the plain footprint here where the batches exist.
-                        services.metrics.add_backup_raw_bytes(
-                            batches.iter().map(|b| b.byte_size() as u64).sum(),
-                        );
-                        services.backups[self.worker as usize].put(
-                            out_name,
-                            *consumer_addr,
-                            payload.clone(),
-                        )?;
-                    }
-                    if strategy.spools() {
-                        services
-                            .durable
-                            .put(Services::spool_key(out_name, *consumer_addr), payload);
-                    }
-                } else {
-                    partition_bytes += batches.iter().map(|b| b.byte_size() as u64).sum::<u64>();
-                }
-            }
-        } else {
+        // Slice the output for the consuming stage, encoding each slice
+        // once, and write the upstream backup / durable spool copies (both
+        // idempotent) before publishing.
+        let (slices, result) = match consumer {
+            Some((consumer_stage, _)) => (self.slice_outputs(outputs, consumer_stage)?, Vec::new()),
             // Sink stage: the output is the query result.
-            partition_bytes = outputs.iter().map(|b| b.byte_size() as u64).sum();
+            None => (Vec::new(), outputs),
+        };
+        let partition_bytes = slices.iter().map(|(_, s)| s.payload().len() as u64).sum::<u64>()
+            + result.iter().map(|b| b.byte_size() as u64).sum::<u64>();
+        for (consumer_addr, slice) in &slices {
+            if strategy.upstream_backup() {
+                // The backup store only sees encoded bytes; record the plain
+                // footprint here where the batches exist.
+                services.metrics.add_backup_raw_bytes(slice.raw_bytes());
+                services.backups[self.worker as usize].put(
+                    out_name,
+                    *consumer_addr,
+                    slice.payload().clone(),
+                )?;
+            }
+            if strategy.spools() {
+                services
+                    .durable
+                    .put(Services::spool_key(out_name, *consumer_addr), slice.payload().clone());
+            }
         }
 
         // Periodic state checkpointing (the expensive strategy of §II-B3,
@@ -815,7 +808,7 @@ impl StageWorker {
             // previous attempt, so the destination worker is re-resolved.
             let mut push_failed = false;
             destinations.clear();
-            for (consumer_addr, batches) in &slices {
+            for (consumer_addr, slice) in &slices {
                 let Some(consumer_state) = services.gcs.get_channel(*consumer_addr) else {
                     push_failed = true;
                     break;
@@ -833,10 +826,12 @@ impl StageWorker {
                     consumer_state.worker,
                     *consumer_addr,
                     out_name,
-                    batches.clone(),
+                    slice,
                 ) {
-                    Ok(()) => destinations
-                        .push((consumer_state.worker, batches.iter().any(|b| b.num_rows() > 0))),
+                    Ok(()) => destinations.push((
+                        consumer_state.worker,
+                        slice.batches().iter().any(|b| b.num_rows() > 0),
+                    )),
                     Err(e) if e.is_retryable() => {
                         push_failed = true;
                         break;
@@ -888,7 +883,7 @@ impl StageWorker {
                     services.metrics.add_result_batch();
                 }
             }
-            services.emit_result(out_name, outputs);
+            services.emit_result(out_name, result);
         }
         services.metrics.add_task(replay_mode);
 
@@ -922,20 +917,22 @@ impl StageWorker {
         Ok(true)
     }
 
-    /// Hash-partition output batches into one slice per consumer channel.
+    /// Hash-partition output batches into one slice per consumer channel,
+    /// each encoded once: every later use of a slice (backup, spool, push,
+    /// replay) shares that payload.
     fn slice_outputs(
         &self,
-        outputs: &[Batch],
+        outputs: Vec<Batch>,
         consumer_stage: StageId,
-    ) -> Result<Vec<(ChannelAddr, Vec<Batch>)>> {
+    ) -> Result<Vec<(ChannelAddr, Slice)>> {
         let layout = &self.services.layout;
         let consumer_channels = layout.channel_count(consumer_stage) as usize;
         let partition_by = &layout.graph.stage(self.stage).partition_by;
         let mut slices: Vec<Vec<Batch>> = vec![Vec::new(); consumer_channels];
         if consumer_channels == 1 || partition_by.is_empty() {
-            slices[0] = outputs.to_vec();
+            slices[0] = outputs;
         } else {
-            for batch in outputs {
+            for batch in &outputs {
                 for (channel, piece) in
                     hash_partition(batch, partition_by, consumer_channels)?.into_iter().enumerate()
                 {
@@ -947,27 +944,28 @@ impl StageWorker {
         }
         // Boundary compression: everything leaving this worker (shuffle
         // pushes, upstream backups, durable spools) ships these slices, so
-        // coalesce the per-batch partition fragments (each wire frame
+        // coalesce the per-batch partition fragments (each batch frame
         // carries a full schema header, and column encodings only pay off
         // over long runs) and re-encode plain columns here where the win is
         // paid for once. Both steps are deterministic, keeping replayed
         // partitions byte-identical to the originals.
-        for batches in &mut slices {
-            if batches.len() > 1 {
-                *batches = Batch::concat(batches)?.chunks(COALESCE_ROWS);
-            }
-            for batch in batches.iter_mut() {
-                *batch = Batch::try_new(
-                    batch.schema().clone(),
-                    batch.columns().iter().map(Column::encode_auto).collect(),
-                )?;
-            }
-        }
-        Ok(slices
+        slices
             .into_iter()
             .enumerate()
-            .map(|(c, batches)| (ChannelAddr::new(consumer_stage, c as u32), batches))
-            .collect())
+            .map(|(c, mut batches)| {
+                if batches.len() > 1 {
+                    batches = Batch::concat(&batches)?.chunks(COALESCE_ROWS);
+                }
+                let batches = batches
+                    .into_iter()
+                    .map(|batch| {
+                        let columns = batch.columns().iter().map(Column::encode_auto).collect();
+                        Batch::try_new(batch.schema().clone(), columns)
+                    })
+                    .collect::<Result<Vec<_>>>()?;
+                Ok((ChannelAddr::new(consumer_stage, c as u32), Slice::new(batches)))
+            })
+            .collect()
     }
 
     /// Re-request replays for committed upstream partitions this channel
@@ -1334,7 +1332,7 @@ mod tests {
             ],
         )
         .unwrap();
-        services.plane.push(0, 0, AGG, SCAN.task(seq), vec![batch]).unwrap();
+        services.plane.push(0, 0, AGG, SCAN.task(seq), &Slice::new(vec![batch])).unwrap();
     }
 
     /// Commit scan output `seq`'s lineage and the scan channel's new state.
@@ -1471,5 +1469,75 @@ mod tests {
         assert_eq!(replayed, ranges);
         let metrics = services.metrics.snapshot(Duration::ZERO);
         assert_eq!(metrics.recovery_tasks, original.len() as u64);
+    }
+
+    /// One cross-worker slice over TCP is the same bytes three times: the
+    /// payload backed up, the bytes charged to the shuffle metrics, and the
+    /// body of the frame the receiving worker decodes.
+    #[test]
+    fn a_shuffled_slice_is_backed_up_charged_and_shipped_as_one_payload() {
+        let schema = Schema::from_pairs(&[("k", DataType::Int64), ("v", DataType::Int64)]);
+        let plan = PlanBuilder::scan("t", schema.clone())
+            .aggregate(vec![(col("k"), "k")], vec![sum(col("v"), "total")])
+            .build()
+            .unwrap();
+        let table = Batch::try_new(
+            schema,
+            vec![
+                Column::Int64((0..400).map(|i| i % 50).collect()),
+                Column::Int64((0..400).collect()),
+            ],
+        )
+        .unwrap();
+        let config = EngineConfig::quokka(2);
+        let graph = StageGraph::compile(&plan).unwrap();
+        let layout = Arc::new(
+            QueryLayout::new(graph, &config.cluster, &BTreeMap::from([("t".to_string(), 4)]))
+                .unwrap(),
+        );
+        let (cost, metrics) = (CostModel::free(), MetricsRegistry::new());
+        // Worker 1's lane leads to this test's listener instead of a worker:
+        // the test reads the frame the receiver would.
+        let receiver = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let servers: Vec<_> = (0..2).map(|w| Arc::new(quokka_net::FlightServer::new(w))).collect();
+        let transport = quokka_net::TcpTransport::bind(
+            2,
+            &config.transport,
+            Arc::clone(&metrics),
+            DataPlane::deliver_into(servers.clone()),
+        )
+        .unwrap();
+        transport.connect_peer(1, receiver.local_addr().unwrap()).unwrap();
+        let plane = DataPlane::from_parts(servers, cost, Arc::clone(&metrics), Box::new(transport));
+        let tables = BTreeMap::from([("t".to_string(), table.chunks(100).into())]);
+        let (tx, _results) = channel();
+        let services = Arc::new(Services::new(
+            config,
+            layout,
+            Arc::new(Gcs::default()),
+            Arc::new(plane),
+            Arc::new(DurableObjectStore::new(cost, Arc::clone(&metrics), tables)),
+            tx,
+            metrics,
+        ));
+        services.register_channels();
+
+        // The scan channel on worker 0 feeds aggregate channel 0, hosted on
+        // worker 1, and channel 1, hosted on worker 0.
+        let mut scan = StageWorker::new(0, SCAN.stage, Arc::clone(&services));
+        assert!(scan.try_task(&services.gcs.get_channel(SCAN).unwrap()).unwrap());
+        let (mut wire, _) = receiver.accept().unwrap();
+        let frame = quokka_batch::wire::read_frame(&mut wire).unwrap().unwrap();
+        let (header, body) = quokka_net::tcp::PushHeader::decode(&frame).unwrap();
+        assert_eq!((header.destination, header.consumer), (1, AGG));
+
+        let backup = services.backups[0].get(SCAN.task(0), AGG).unwrap();
+        assert_eq!(body, &backup[..], "the receiver decodes the backed-up payload");
+        let shipped = quokka_batch::wire::decode_partition(body).unwrap();
+        assert!(shipped.iter().any(|b| b.num_rows() > 0), "the slice carries rows");
+        let snap = services.metrics.snapshot(Duration::ZERO);
+        assert_eq!(snap.shuffle_bytes, backup.len() as u64, "the shuffle charge is the payload");
+        assert_eq!(snap.shuffle_edges.len(), 1);
+        assert_eq!(snap.shuffle_edges[0].bytes, backup.len() as u64);
     }
 }

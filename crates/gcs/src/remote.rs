@@ -11,10 +11,11 @@
 //! and a remote [`Gcs::commit_task`](crate::Gcs::commit_task) is one round
 //! trip.
 //!
-//! Framing is the transport's length-prefixed style: `u32` length, then a
-//! payload built with [`quokka_batch::wire`] primitives. The first payload
-//! byte is the opcode; a GCS call ([`OP_GCS`]) is followed by its call byte
-//! and its argument in the record codec below (`Encode`, `Decode`).
+//! Framing is the data plane's: [`wire::write_frame`] / [`wire::read_frame`]
+//! under one size limit, around a payload built with [`quokka_batch::wire`]
+//! primitives. The first payload byte is the opcode; a GCS call
+//! ([`OP_GCS`]) is followed by its call byte and its argument in the record
+//! codec below (`Encode`, `Decode`).
 //! Responses start with a status byte (0 = ok, 1 = typed error). The opcode
 //! space is shared with the engine's control server, which also serves
 //! durable-store access, sink forwarding and heartbeats.
@@ -26,7 +27,6 @@ use crate::tables::{
 use quokka_batch::wire::{self, WireReader};
 use quokka_common::ids::{ChannelAddr, TaskName};
 use quokka_common::{QuokkaError, Result};
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
 
@@ -53,47 +53,6 @@ pub const OP_WIRE_STATS: u8 = 32;
 const ERR_GENERIC: u8 = 0;
 const ERR_ABORTED: u8 = 1;
 const ERR_NOT_FOUND: u8 = 2;
-
-/// Largest accepted control frame (a corruption guard, far above any real
-/// GCS record or table split).
-const MAX_CONTROL_FRAME: u32 = 1 << 30;
-
-// --- framing -------------------------------------------------------------
-
-/// Write one length-prefixed frame.
-pub fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
-    stream.write_all(&(payload.len() as u32).to_be_bytes())?;
-    stream.write_all(payload)
-}
-
-/// Read one length-prefixed frame. `Ok(None)` on clean EOF before the
-/// length prefix (the peer closed the connection). Beyond its first 64 KiB
-/// the buffer grows with the bytes that actually arrive, so a garbage
-/// length prefix costs no allocation of its claimed size.
-pub fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; 4];
-    match stream.read_exact(&mut header) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_be_bytes(header);
-    if len > MAX_CONTROL_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("control frame length {len} exceeds limit"),
-        ));
-    }
-    let mut payload = Vec::with_capacity((len as usize).min(1 << 16));
-    stream.take(u64::from(len)).read_to_end(&mut payload)?;
-    if payload.len() != len as usize {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            format!("control frame cut short at {} of {len} bytes", payload.len()),
-        ));
-    }
-    Ok(Some(payload))
-}
 
 /// Build an ok response: status byte then `build`'s payload.
 pub fn ok_frame(build: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
@@ -184,8 +143,8 @@ impl ControlClient {
     pub fn request(&self, payload: &[u8]) -> Result<Vec<u8>> {
         let mut conn = self.checkout()?;
         let io = |e: std::io::Error| QuokkaError::Transient(format!("control rpc: {e}"));
-        write_frame(&mut conn, payload).map_err(io)?;
-        let resp = read_frame(&mut conn)
+        wire::write_frame(&mut conn, &[payload]).map_err(io)?;
+        let resp = wire::read_frame(&mut conn)
             .map_err(io)?
             .ok_or_else(|| QuokkaError::Transient("control rpc: server closed".to_string()))?;
         self.pool.lock().expect("control pool poisoned").push(conn);
@@ -402,6 +361,7 @@ mod tests {
     use super::*;
     use crate::tables::call;
     use crate::Gcs;
+    use std::io::Write;
     use std::net::TcpListener;
     use std::sync::Arc;
 
@@ -417,14 +377,14 @@ mod tests {
                 let _ = conn.set_nodelay(true);
                 let gcs = Arc::clone(&gcs);
                 std::thread::spawn(move || {
-                    while let Ok(Some(req)) = read_frame(&mut conn) {
+                    while let Ok(Some(req)) = wire::read_frame(&mut conn) {
                         let mut r = WireReader::new(&req);
                         let resp = match r.u8() {
                             Ok(OP_GCS) => gcs.serve(&mut r),
                             _ => Err(QuokkaError::Internal("not a GCS frame".into())),
                         };
                         let resp = resp.unwrap_or_else(|e| err_frame(&e));
-                        if write_frame(&mut conn, &resp).is_err() {
+                        if wire::write_frame(&mut conn, &[&resp]).is_err() {
                             break;
                         }
                     }
@@ -599,10 +559,10 @@ mod tests {
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (mut server, _) = listener.accept().unwrap();
         // Claims a 1 GiB frame, delivers four bytes, hangs up.
-        client.write_all(&MAX_CONTROL_FRAME.to_be_bytes()).unwrap();
+        client.write_all(&wire::MAX_FRAME_BYTES.to_be_bytes()).unwrap();
         client.write_all(b"oops").unwrap();
         drop(client);
-        let err = read_frame(&mut server).unwrap_err();
+        let err = wire::read_frame(&mut server).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 }

@@ -10,26 +10,27 @@
 //!   a worker drops its inbox (those cached slices are part of what recovery
 //!   must reconstruct — Fig. 5's pink boxes).
 //! * [`plane::DataPlane`] — the cluster-wide registry of flight servers plus
-//!   the network cost model: pushes between different workers are charged to
-//!   the network path and to the `shuffle_bytes` metric. Delivery is routed
-//!   through a [`transport::Transport`] backend.
+//!   the network cost model: a push between different workers charges its
+//!   slice's encoded payload to the network path and to the `shuffle_bytes`
+//!   metric. Delivery is routed through a [`transport::Transport`] backend.
 //! * [`transport`] — the [`transport::Transport`] trait and the default
-//!   in-process backend ([`transport::InprocTransport`]).
-//! * [`tcp`] — the socket backend ([`tcp::TcpTransport`]): length-prefixed
-//!   frames encoded into pooled byte slabs, one send thread and a bounded
-//!   queue per peer (backpressure), a recv loop per connection. Also the
+//!   in-process backend ([`transport::InprocTransport`]), which hands the
+//!   slice's batches over without touching its payload.
+//! * [`tcp`] — the socket backend ([`tcp::TcpTransport`]): each push is a
+//!   small header plus the slice's payload, written as one length-prefixed
+//!   frame by one send thread behind a bounded queue per peer
+//!   (backpressure), and decoded by a recv loop per connection. Also the
 //!   substrate for multi-process workers.
-//! * [`slab`] — the reusable byte-slab pool the TCP send path draws from,
-//!   so steady-state shuffle traffic allocates nothing per push.
+//!
+//! A slice ([`quokka_batch::Slice`]) is encoded once, by its producer; no
+//! push encodes anything.
 
 pub mod flight;
 pub mod plane;
-pub mod slab;
 pub mod tcp;
 pub mod transport;
 
 pub use flight::{ArrivalHook, FlightServer, SliceKey};
 pub use plane::DataPlane;
-pub use slab::SlabPool;
 pub use tcp::{DeliverFn, TcpTransport};
 pub use transport::{InprocTransport, Transport};

@@ -11,7 +11,7 @@
 use crate::flight::FlightServer;
 use crate::tcp::{DeliverFn, TcpTransport};
 use crate::transport::{InprocTransport, Transport};
-use quokka_batch::Batch;
+use quokka_batch::Slice;
 use quokka_common::ids::{ChannelAddr, PartitionName, WorkerId};
 use quokka_common::metrics::MetricsRegistry;
 use quokka_common::{QuokkaError, Result, TransportConfig, TransportKind};
@@ -80,8 +80,8 @@ impl DataPlane {
 
     /// Create a data plane with an explicit transport configuration:
     /// `TransportKind::Inproc` delivers pushes as direct inbox calls,
-    /// `TransportKind::Tcp` routes every cross-worker push through pooled
-    /// slabs and real loopback sockets.
+    /// `TransportKind::Tcp` routes every cross-worker push through real
+    /// loopback sockets.
     pub fn with_config(
         workers: u32,
         cost: CostModel,
@@ -177,7 +177,7 @@ impl DataPlane {
         destination: WorkerId,
         consumer: ChannelAddr,
         producer: PartitionName,
-        batches: Vec<Batch>,
+        slice: &Slice,
     ) -> Result<()> {
         let server = self.server(destination)?;
         if server.is_failed() {
@@ -193,19 +193,17 @@ impl DataPlane {
             )));
         }
         if source != destination {
-            // Charge what actually crosses the network: the wire-encoded
-            // frame payload (compressed column encodings included), not the
-            // plain in-memory footprint. The raw footprint is recorded
-            // alongside so the encoded-vs-raw gap is observable per edge.
-            let raw: u64 = batches.iter().map(|b| b.byte_size() as u64).sum();
-            let mut frame = Vec::new();
-            quokka_batch::wire::encode_batches_into(&batches, &mut frame);
-            let bytes = frame.len() as u64;
+            // Charge what crosses the network: the slice's encoded payload
+            // (compressed column encodings included), which is the frame
+            // body a wire transport ships. The plain in-memory footprint is
+            // recorded alongside so the encoded-vs-raw gap is observable
+            // per edge.
+            let (bytes, raw) = (slice.payload().len() as u64, slice.raw_bytes());
             self.cost.charge_network(bytes);
             self.metrics.add_shuffle_bytes(bytes, raw);
             self.metrics.add_shuffle_edge(producer.stage, consumer.stage, bytes, raw);
         }
-        self.transport.send(source, destination, consumer, producer, batches)
+        self.transport.send(source, destination, consumer, producer, slice)
     }
 
     /// Kill a worker: its flight server rejects all traffic and loses its
@@ -230,7 +228,7 @@ impl DataPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quokka_batch::{Column, DataType, Schema};
+    use quokka_batch::{Batch, Column, DataType, Schema};
     use quokka_common::ids::TaskName;
 
     fn plane() -> DataPlane {
@@ -245,12 +243,8 @@ mod tests {
         .unwrap()
     }
 
-    /// The bytes one pushed batch contributes to shuffle accounting: its
-    /// wire-encoded frame payload.
-    fn wire_len(b: &Batch) -> u64 {
-        let mut buf = Vec::new();
-        quokka_batch::wire::encode_batches_into(std::slice::from_ref(b), &mut buf);
-        buf.len() as u64
+    fn slice() -> Slice {
+        Slice::new(vec![batch()])
     }
 
     #[test]
@@ -259,7 +253,7 @@ mod tests {
         assert_eq!(p.transport_kind(), "inproc");
         let consumer = ChannelAddr::new(1, 2);
         let producer = TaskName::new(0, 0, 0);
-        p.push(0, 2, consumer, producer, vec![batch()]).unwrap();
+        p.push(0, 2, consumer, producer, &slice()).unwrap();
         assert!(p.server(2).unwrap().has_slice(consumer, producer));
         assert!(!p.server(0).unwrap().has_slice(consumer, producer));
         assert!(p.server(9).is_err());
@@ -270,12 +264,12 @@ mod tests {
         let metrics = MetricsRegistry::new();
         let p = DataPlane::new(2, CostModel::free(), Arc::clone(&metrics));
         let consumer = ChannelAddr::new(1, 0);
-        p.push(0, 0, consumer, TaskName::new(0, 0, 0), vec![batch()]).unwrap();
+        p.push(0, 0, consumer, TaskName::new(0, 0, 0), &slice()).unwrap();
         let local_only = metrics.snapshot(std::time::Duration::ZERO).shuffle_bytes;
         assert_eq!(local_only, 0, "local pushes are not shuffled over the network");
-        p.push(0, 1, consumer, TaskName::new(0, 0, 1), vec![batch()]).unwrap();
+        p.push(0, 1, consumer, TaskName::new(0, 0, 1), &slice()).unwrap();
         let snap = metrics.snapshot(std::time::Duration::ZERO);
-        assert_eq!(snap.shuffle_bytes, wire_len(&batch()));
+        assert_eq!(snap.shuffle_bytes, slice().payload().len() as u64);
         assert_eq!(snap.shuffle_raw_bytes, batch().byte_size() as u64);
         assert_eq!(snap.shuffle_edges.len(), 1);
         assert_eq!(snap.shuffle_edges[0].bytes, snap.shuffle_bytes);
@@ -288,18 +282,18 @@ mod tests {
         let consumer = ChannelAddr::new(1, 0);
         p.inject_drop_pushes(2, 2);
         for _ in 0..2 {
-            let err = p.push(0, 2, consumer, TaskName::new(0, 0, 0), vec![batch()]);
+            let err = p.push(0, 2, consumer, TaskName::new(0, 0, 0), &slice());
             assert!(matches!(err, Err(QuokkaError::Transient(_))));
             assert!(err.unwrap_err().is_retryable());
         }
         // Budget consumed: pushes flow again, and other destinations were
         // never affected.
-        p.push(0, 2, consumer, TaskName::new(0, 0, 0), vec![batch()]).unwrap();
-        p.push(0, 1, consumer, TaskName::new(0, 0, 1), vec![batch()]).unwrap();
+        p.push(0, 2, consumer, TaskName::new(0, 0, 0), &slice()).unwrap();
+        p.push(0, 1, consumer, TaskName::new(0, 0, 1), &slice()).unwrap();
 
         p.inject_delay_pushes(1, 1, Duration::from_micros(50));
         let start = std::time::Instant::now();
-        p.push(0, 1, consumer, TaskName::new(0, 0, 2), vec![batch()]).unwrap();
+        p.push(0, 1, consumer, TaskName::new(0, 0, 2), &slice()).unwrap();
         assert!(start.elapsed() >= Duration::from_micros(50));
     }
 
@@ -323,12 +317,12 @@ mod tests {
         p.inject_delay_pushes(1, 1, Duration::from_micros(300));
         p.inject_delay_pushes(1, 1, Duration::from_micros(50));
         let start = std::time::Instant::now();
-        p.push(0, 1, consumer, TaskName::new(0, 0, 0), vec![batch()]).unwrap();
-        p.push(0, 1, consumer, TaskName::new(0, 0, 1), vec![batch()]).unwrap();
+        p.push(0, 1, consumer, TaskName::new(0, 0, 0), &slice()).unwrap();
+        p.push(0, 1, consumer, TaskName::new(0, 0, 1), &slice()).unwrap();
         assert!(start.elapsed() >= Duration::from_micros(350));
         // The queue is drained; a third push is not delayed.
         let start = std::time::Instant::now();
-        p.push(0, 1, consumer, TaskName::new(0, 0, 2), vec![batch()]).unwrap();
+        p.push(0, 1, consumer, TaskName::new(0, 0, 2), &slice()).unwrap();
         assert!(start.elapsed() < Duration::from_micros(300));
     }
 
@@ -340,7 +334,7 @@ mod tests {
         assert!(!p.is_worker_alive(1));
         assert!(p.is_worker_alive(0));
         assert_eq!(p.live_workers(), vec![0, 2]);
-        let err = p.push(0, 1, ChannelAddr::new(1, 0), TaskName::new(0, 0, 0), vec![]);
+        let err = p.push(0, 1, ChannelAddr::new(1, 0), TaskName::new(0, 0, 0), &Slice::new(vec![]));
         assert!(matches!(err, Err(QuokkaError::WorkerFailed(1))));
         assert_eq!(p.num_workers(), 3);
     }
@@ -358,7 +352,7 @@ mod tests {
         assert_eq!(p.transport_kind(), "tcp");
         let consumer = ChannelAddr::new(1, 2);
         let producer = TaskName::new(0, 1, 0);
-        p.push(0, 2, consumer, producer, vec![batch()]).unwrap();
+        p.push(0, 2, consumer, producer, &slice()).unwrap();
         // Delivery is asynchronous on the wire: poll the inbox.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while !p.server(2).unwrap().has_slice(consumer, producer) {
@@ -368,14 +362,14 @@ mod tests {
         assert_eq!(p.server(2).unwrap().peek(consumer, producer).unwrap(), vec![batch()]);
         // Shuffle accounting and per-peer wire stats both observed it.
         let snap = metrics.snapshot(Duration::ZERO);
-        assert_eq!(snap.shuffle_bytes, wire_len(&batch()));
+        assert_eq!(snap.shuffle_bytes, slice().payload().len() as u64);
         let peer = snap.transport_peers.iter().find(|s| s.peer == 2).expect("wire stats");
         assert_eq!(peer.frames_sent, 1);
         assert!(peer.bytes_sent > 0);
 
         // Failing a worker tears down its lane and rejects further pushes.
         p.fail_worker(2).unwrap();
-        let err = p.push(0, 2, consumer, TaskName::new(0, 1, 1), vec![batch()]);
+        let err = p.push(0, 2, consumer, TaskName::new(0, 1, 1), &slice());
         assert!(matches!(err, Err(QuokkaError::WorkerFailed(2))));
     }
 }

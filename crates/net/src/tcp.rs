@@ -1,18 +1,22 @@
 //! The TCP transport: shuffle pushes over real sockets.
 //!
-//! Modelled on timely-dataflow's communication stack: every push is encoded
-//! into a pooled byte slab ([`SlabPool`]) and handed to the destination
-//! peer's *send lane* — one dedicated send thread behind a bounded queue.
-//! A full queue blocks the producer in [`Transport::send`], which is the
-//! end-to-end backpressure story: a stalled consumer stops reading, the
-//! peer's TCP window fills, the send thread blocks in `write`, the queue
-//! fills, and producers stall instead of buffering without bound.
+//! Modelled on timely-dataflow's communication stack: every push is handed
+//! to the destination peer's *send lane* — one dedicated send thread behind
+//! a bounded queue — as a small [`PushHeader`] plus the slice's payload,
+//! which its producer encoded once ([`Slice`]). The lane writes the two as
+//! one length-prefixed frame ([`wire::write_frame`]); nothing on the send
+//! path encodes a batch. A full queue blocks the producer in
+//! [`Transport::send`], which is the end-to-end backpressure story: a
+//! stalled consumer stops reading, the peer's TCP window fills, the send
+//! thread blocks in `write`, the queue fills, and producers stall instead of
+//! buffering without bound.
 //!
 //! One listener serves the whole process; a recv thread per accepted
-//! connection reassembles length-prefixed frames and hands them to the
-//! delivery callback (in the engine: an insert into the destination
-//! worker's [`FlightServer`](crate::FlightServer) inbox — idempotent, so
-//! duplicate frames from publish retries are harmless).
+//! connection reads frames with [`wire::read_frame`] (the control plane's
+//! reader too), decodes each payload and hands the batches to the delivery
+//! callback (in the engine: an insert into the destination worker's
+//! [`FlightServer`](crate::FlightServer) inbox — idempotent, so duplicate
+//! frames from publish retries are harmless).
 //!
 //! Sends are fire-and-forget: `send` returns once the frame is queued.
 //! That is safe under write-ahead lineage because a frame that is queued on
@@ -24,14 +28,14 @@
 //!
 //! [`QuokkaError::WorkerFailed`]: quokka_common::QuokkaError::WorkerFailed
 
-use crate::slab::SlabPool;
 use crate::transport::Transport;
+use bytes::Bytes;
 use parking_lot::RwLock;
-use quokka_batch::{wire, Batch};
+use quokka_batch::{wire, Batch, Slice};
 use quokka_common::ids::{ChannelAddr, PartitionName, TaskName, WorkerId};
 use quokka_common::metrics::MetricsRegistry;
 use quokka_common::{QuokkaError, Result, TransportConfig};
-use std::io::{Read, Write};
+use std::io::{BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -43,19 +47,61 @@ use std::time::Duration;
 /// byte keeps the framing extensible).
 const FRAME_PUSH: u8 = 1;
 
-/// Upper bound on a single frame, as a corruption guard: a length prefix
-/// beyond this aborts the connection instead of sizing an allocation.
-const MAX_FRAME_BYTES: u32 = 1 << 30;
-
 /// Delivery callback invoked by recv threads for every reassembled frame:
 /// `(source, destination, consumer, producer, batches)`.
 pub type DeliverFn =
     Arc<dyn Fn(WorkerId, WorkerId, ChannelAddr, PartitionName, Vec<Batch>) + Send + Sync>;
 
-/// The per-peer send side: a bounded queue drained by one send thread.
+/// The header ahead of a push frame's payload: which worker sent the slice
+/// to which, for which consumer channel, and which task produced it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PushHeader {
+    pub source: WorkerId,
+    pub destination: WorkerId,
+    pub consumer: ChannelAddr,
+    pub producer: PartitionName,
+}
+
+impl PushHeader {
+    fn encode(&self) -> Vec<u8> {
+        let mut head = Vec::with_capacity(1 + 7 * 4);
+        wire::put_u8(&mut head, FRAME_PUSH);
+        for field in [
+            self.source,
+            self.destination,
+            self.consumer.stage,
+            self.consumer.channel,
+            self.producer.stage,
+            self.producer.channel,
+            self.producer.seq,
+        ] {
+            wire::put_u32(&mut head, field);
+        }
+        head
+    }
+
+    /// Split a push frame into its header and the slice payload after it.
+    pub fn decode(frame: &[u8]) -> Result<(PushHeader, &[u8])> {
+        let mut r = wire::WireReader::new(frame);
+        let tag = r.u8()?;
+        if tag != FRAME_PUSH {
+            return Err(QuokkaError::Storage(format!("unknown transport frame tag {tag}")));
+        }
+        let header = PushHeader {
+            source: r.u32()?,
+            destination: r.u32()?,
+            consumer: ChannelAddr::new(r.u32()?, r.u32()?),
+            producer: TaskName::new(r.u32()?, r.u32()?, r.u32()?),
+        };
+        Ok((header, &frame[r.position()..]))
+    }
+}
+
+/// The per-peer send side: a bounded queue of (header, payload) frames
+/// drained by one send thread.
 #[derive(Clone)]
 struct SendLane {
-    queue: SyncSender<Vec<u8>>,
+    queue: SyncSender<(Vec<u8>, Bytes)>,
     /// Current queue occupancy (incremented at enqueue, decremented by the
     /// send thread), used for the backpressure high-water mark.
     depth: Arc<AtomicU64>,
@@ -63,7 +109,6 @@ struct SendLane {
 
 struct TcpInner {
     queue_frames: usize,
-    pool: SlabPool,
     metrics: Arc<MetricsRegistry>,
     deliver: DeliverFn,
     /// Send lane per worker; `None` means the worker is local to this
@@ -112,7 +157,6 @@ impl TcpTransport {
             .map_err(|e| QuokkaError::Transient(format!("transport local_addr failed: {e}")))?;
         let inner = Arc::new(TcpInner {
             queue_frames: config.send_queue_frames.max(1),
-            pool: SlabPool::new(config.slab_bytes, config.max_pooled_slabs),
             metrics,
             deliver,
             lanes: RwLock::new((0..workers).map(|_| None).collect()),
@@ -163,25 +207,27 @@ impl TcpTransport {
         if let Ok(clone) = stream.try_clone() {
             self.inner.socks.lock().expect("transport sock list poisoned").push(clone);
         }
-        let (tx, rx) = sync_channel::<Vec<u8>>(self.inner.queue_frames);
+        let (tx, rx) = sync_channel::<(Vec<u8>, Bytes)>(self.inner.queue_frames);
         let depth = Arc::new(AtomicU64::new(0));
         let lane = SendLane { queue: tx, depth: Arc::clone(&depth) };
         let send_inner = Arc::clone(&self.inner);
         let handle = thread::Builder::new()
             .name(format!("quokka-tcp-send-{worker}"))
             .spawn(move || {
-                let mut stream = stream;
-                while let Ok(slab) = rx.recv() {
+                // Buffered, so a small frame's prefix, header and payload
+                // leave in one write; a large payload bypasses the buffer.
+                let mut stream = BufWriter::new(stream);
+                while let Ok((head, payload)) = rx.recv() {
                     depth.fetch_sub(1, Ordering::SeqCst);
-                    let header = (slab.len() as u32).to_be_bytes();
-                    if stream.write_all(&header).and_then(|_| stream.write_all(&slab)).is_err() {
+                    let sent = wire::write_frame(&mut stream, &[&head, &payload])
+                        .and_then(|()| stream.flush());
+                    if sent.is_err() {
                         // The peer's end of the wire is gone: poison the
                         // lane so producers see WorkerFailed, and drain the
                         // queue so blocked producers wake up.
                         send_inner.dead[worker as usize].store(true, Ordering::SeqCst);
                         break;
                     }
-                    send_inner.pool.release(slab);
                 }
                 // Dropping `rx` disconnects the queue; producers blocked in
                 // send() observe SendError and map it to WorkerFailed.
@@ -193,11 +239,6 @@ impl TcpTransport {
             lanes[worker as usize] = Some(lane);
         }
         Ok(())
-    }
-
-    /// Observability for tests/benches: slab-pool allocation count.
-    pub fn slab_allocations(&self) -> u64 {
-        self.inner.pool.allocations()
     }
 
     fn shutdown(&self) {
@@ -242,7 +283,7 @@ impl Transport for TcpTransport {
         destination: WorkerId,
         consumer: ChannelAddr,
         producer: PartitionName,
-        batches: Vec<Batch>,
+        slice: &Slice,
     ) -> Result<()> {
         let inner = &self.inner;
         if inner.shutdown.load(Ordering::SeqCst) {
@@ -260,20 +301,18 @@ impl Transport for TcpTransport {
             inner.lanes.read().get(destination as usize).and_then(|l| l.clone())
         };
         let Some(lane) = lane else {
-            (inner.deliver)(source, destination, consumer, producer, batches);
+            (inner.deliver)(source, destination, consumer, producer, slice.batches().to_vec());
             return Ok(());
         };
-        let mut slab = inner.pool.acquire();
-        encode_push(&mut slab, source, destination, consumer, producer, &batches);
-        let frame_bytes = slab.len() as u64;
+        let head = PushHeader { source, destination, consumer, producer }.encode();
+        let frame_bytes = (head.len() + slice.payload().len()) as u64;
         // Depth is sampled *before* the (possibly blocking) enqueue, so the
         // high-water mark records how full the bounded queue got.
         let depth = lane.depth.fetch_add(1, Ordering::SeqCst) + 1;
         inner.metrics.add_wire_send(destination, frame_bytes, depth);
-        if let Err(err) = lane.queue.send(slab) {
+        if lane.queue.send((head, slice.payload().clone())).is_err() {
             lane.depth.fetch_sub(1, Ordering::SeqCst);
             inner.dead[destination as usize].store(true, Ordering::SeqCst);
-            inner.pool.release(err.0);
             return Err(QuokkaError::WorkerFailed(destination));
         }
         Ok(())
@@ -320,70 +359,19 @@ fn accept_loop(listener: TcpListener, inner: Arc<TcpInner>) {
     }
 }
 
-/// Read length-prefixed frames off one connection until EOF (peer closed or
-/// died) or a malformed frame, delivering each to the callback.
+/// Read frames off one connection until EOF (the peer closed or died), a
+/// frame cut short or a malformed one, delivering each frame's batches to
+/// the callback. Each of those ends the connection, never the process.
 fn recv_loop(mut stream: TcpStream, inner: Arc<TcpInner>) {
-    let mut payload = Vec::new();
-    loop {
-        let mut header = [0u8; 4];
-        if stream.read_exact(&mut header).is_err() {
-            return; // EOF: the peer closed the connection (or died).
-        }
-        let len = u32::from_be_bytes(header);
-        if len > MAX_FRAME_BYTES {
-            return; // Corrupt length prefix: abort the connection.
-        }
-        payload.clear();
-        payload.resize(len as usize, 0);
-        if stream.read_exact(&mut payload).is_err() {
-            return; // Truncated mid-frame: the peer died while sending.
-        }
-        let Ok((source, destination, consumer, producer, batches)) = decode_push(&payload) else {
-            return; // Malformed frame: typed decode error, never a panic.
-        };
-        inner.metrics.add_wire_recv(source, len as u64);
-        (inner.deliver)(source, destination, consumer, producer, batches);
+    while let Ok(Some(frame)) = wire::read_frame(&mut stream) {
+        let Ok((push, payload)) = PushHeader::decode(&frame) else { return };
+        let Ok(batches) = wire::decode_partition(payload) else { return };
+        inner.metrics.add_wire_recv(push.source, frame.len() as u64);
+        (inner.deliver)(push.source, push.destination, push.consumer, push.producer, batches);
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
         }
     }
-}
-
-fn encode_push(
-    slab: &mut Vec<u8>,
-    source: WorkerId,
-    destination: WorkerId,
-    consumer: ChannelAddr,
-    producer: PartitionName,
-    batches: &[Batch],
-) {
-    wire::put_u8(slab, FRAME_PUSH);
-    wire::put_u32(slab, source);
-    wire::put_u32(slab, destination);
-    wire::put_u32(slab, consumer.stage);
-    wire::put_u32(slab, consumer.channel);
-    wire::put_u32(slab, producer.stage);
-    wire::put_u32(slab, producer.channel);
-    wire::put_u32(slab, producer.seq);
-    wire::encode_batches_into(batches, slab);
-}
-
-#[allow(clippy::type_complexity)]
-fn decode_push(
-    payload: &[u8],
-) -> Result<(WorkerId, WorkerId, ChannelAddr, PartitionName, Vec<Batch>)> {
-    let mut r = wire::WireReader::new(payload);
-    let tag = r.u8()?;
-    if tag != FRAME_PUSH {
-        return Err(QuokkaError::Storage(format!("unknown transport frame tag {tag}")));
-    }
-    let source = r.u32()?;
-    let destination = r.u32()?;
-    let consumer = ChannelAddr::new(r.u32()?, r.u32()?);
-    let producer = TaskName::new(r.u32()?, r.u32()?, r.u32()?);
-    let batches = wire::decode_batches_from(&mut r)?;
-    r.expect_end()?;
-    Ok((source, destination, consumer, producer, batches))
 }
 
 #[cfg(test)]
@@ -419,7 +407,8 @@ mod tests {
         let consumer = ChannelAddr::new(1, 2);
         let batch = big_batch(7, 100);
         for seq in 0..4u32 {
-            t.send(0, 2, consumer, TaskName::new(0, 0, seq), vec![batch.clone()]).unwrap();
+            t.send(0, 2, consumer, TaskName::new(0, 0, seq), &Slice::new(vec![batch.clone()]))
+                .unwrap();
         }
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while seen.lock().unwrap().len() < 4 {
@@ -438,8 +427,8 @@ mod tests {
         let metrics = MetricsRegistry::new();
         let t = TcpTransport::loopback(2, &TransportConfig::tcp(), Arc::clone(&metrics), deliver)
             .unwrap();
-        t.send(1, 1, ChannelAddr::new(0, 0), TaskName::new(0, 0, 0), vec![big_batch(1, 10)])
-            .unwrap();
+        let slice = Slice::new(vec![big_batch(1, 10)]);
+        t.send(1, 1, ChannelAddr::new(0, 0), TaskName::new(0, 0, 0), &slice).unwrap();
         // Delivered synchronously, and no wire counters moved.
         assert_eq!(seen.lock().unwrap().len(), 1);
         assert!(metrics.snapshot(Duration::ZERO).transport_peers.is_empty());
@@ -451,10 +440,11 @@ mod tests {
         let t = TcpTransport::loopback(2, &TransportConfig::tcp(), MetricsRegistry::new(), deliver)
             .unwrap();
         t.fail_peer(1);
-        let err = t.send(0, 1, ChannelAddr::new(0, 0), TaskName::new(0, 0, 0), vec![]);
+        let empty = Slice::new(vec![]);
+        let err = t.send(0, 1, ChannelAddr::new(0, 0), TaskName::new(0, 0, 0), &empty);
         assert!(matches!(err, Err(QuokkaError::WorkerFailed(1))));
         // Unrelated peers still work.
-        t.send(1, 0, ChannelAddr::new(0, 0), TaskName::new(0, 0, 0), vec![]).unwrap();
+        t.send(1, 0, ChannelAddr::new(0, 0), TaskName::new(0, 0, 0), &empty).unwrap();
     }
 
     #[test]
@@ -462,14 +452,20 @@ mod tests {
         let (deliver, seen) = collecting_deliver();
         let t = TcpTransport::loopback(2, &TransportConfig::tcp(), MetricsRegistry::new(), deliver)
             .unwrap();
-        // A raw connection spraying garbage at the listener must be torn
-        // down by the typed decode error without affecting real lanes.
+        // Raw connections spraying garbage at the listener must each be torn
+        // down without affecting real lanes: a malformed frame (a typed
+        // decode error), and a prefix claiming ~1 GiB followed by a few
+        // bytes and EOF (read as it arrives, never zero-filled up front).
         let mut rogue = TcpStream::connect(t.local_addr()).unwrap();
         rogue.write_all(&8u32.to_be_bytes()).unwrap();
         rogue.write_all(&[0xFF; 8]).unwrap();
         rogue.flush().unwrap();
-        t.send(0, 1, ChannelAddr::new(0, 0), TaskName::new(0, 0, 9), vec![big_batch(3, 5)])
-            .unwrap();
+        let mut liar = TcpStream::connect(t.local_addr()).unwrap();
+        liar.write_all(&(wire::MAX_FRAME_BYTES - 1).to_be_bytes()).unwrap();
+        liar.write_all(b"few").unwrap();
+        drop(liar);
+        let slice = Slice::new(vec![big_batch(3, 5)]);
+        t.send(0, 1, ChannelAddr::new(0, 0), TaskName::new(0, 0, 9), &slice).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while seen.lock().unwrap().is_empty() {
             assert!(std::time::Instant::now() < deadline, "legit frame never arrived");
@@ -534,14 +530,8 @@ mod tests {
             let completed = Arc::clone(&completed);
             thread::spawn(move || {
                 for seq in 0..TOTAL as u32 {
-                    t.send(
-                        0,
-                        1,
-                        ChannelAddr::new(2, 0),
-                        TaskName::new(1, 0, seq),
-                        vec![big_batch(seq as i64, ROWS)],
-                    )
-                    .unwrap();
+                    let slice = Slice::new(vec![big_batch(seq as i64, ROWS)]);
+                    t.send(0, 1, ChannelAddr::new(2, 0), TaskName::new(1, 0, seq), &slice).unwrap();
                     completed.fetch_add(1, Ordering::SeqCst);
                 }
             })
@@ -596,25 +586,24 @@ mod tests {
 
     #[test]
     fn push_frame_roundtrip() {
-        let mut slab = Vec::new();
-        let batch = big_batch(42, 17);
-        encode_push(
-            &mut slab,
-            3,
-            5,
-            ChannelAddr::new(2, 1),
-            TaskName::new(1, 4, 9),
-            std::slice::from_ref(&batch),
-        );
-        let (src, dest, consumer, producer, batches) = decode_push(&slab).unwrap();
-        assert_eq!((src, dest), (3, 5));
-        assert_eq!(consumer, ChannelAddr::new(2, 1));
-        assert_eq!(producer, TaskName::new(1, 4, 9));
-        assert_eq!(batches, vec![batch]);
-        // Truncated and mis-tagged payloads are typed errors.
-        assert!(decode_push(&slab[..slab.len() - 1]).is_err());
-        let mut bad = slab.clone();
+        let slice = Slice::new(vec![big_batch(42, 17)]);
+        let header = PushHeader {
+            source: 3,
+            destination: 5,
+            consumer: ChannelAddr::new(2, 1),
+            producer: TaskName::new(1, 4, 9),
+        };
+        let mut frame = header.encode();
+        frame.extend_from_slice(slice.payload());
+        let (got, payload) = PushHeader::decode(&frame).unwrap();
+        assert_eq!(got, header);
+        assert_eq!(payload, &slice.payload()[..], "the frame body is the slice's payload");
+        assert_eq!(wire::decode_partition(payload).unwrap(), slice.batches());
+        // Truncated and mis-tagged frames are typed errors.
+        assert!(PushHeader::decode(&frame[..10]).is_err());
+        assert!(wire::decode_partition(&payload[..payload.len() - 1]).is_err());
+        let mut bad = frame.clone();
         bad[0] = 99;
-        assert!(decode_push(&bad).is_err());
+        assert!(PushHeader::decode(&bad).is_err());
     }
 }

@@ -7,13 +7,12 @@
 //! * [`InprocTransport`] (default): delivery is a direct call into the
 //!   destination worker's in-process [`FlightServer`] inbox. Zero copies,
 //!   no sockets; the backend every unit test and chaos suite runs on.
-//! * [`TcpTransport`](crate::tcp::TcpTransport): frames are encoded into
-//!   pooled byte slabs and shipped over real TCP sockets with one send
-//!   thread and a bounded queue per peer, so a stalled consumer blocks its
-//!   producers.
+//! * [`TcpTransport`](crate::tcp::TcpTransport): each slice's encoded
+//!   payload is shipped over real TCP sockets with one send thread and a
+//!   bounded queue per peer, so a stalled consumer blocks its producers.
 
 use crate::flight::FlightServer;
-use quokka_batch::Batch;
+use quokka_batch::Slice;
 use quokka_common::ids::{ChannelAddr, PartitionName, WorkerId};
 use quokka_common::Result;
 use std::sync::Arc;
@@ -39,7 +38,7 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
         destination: WorkerId,
         consumer: ChannelAddr,
         producer: PartitionName,
-        batches: Vec<Batch>,
+        slice: &Slice,
     ) -> Result<()>;
 
     /// Tear down any connection state towards a dead worker. Subsequent
@@ -75,11 +74,11 @@ impl Transport for InprocTransport {
         destination: WorkerId,
         consumer: ChannelAddr,
         producer: PartitionName,
-        batches: Vec<Batch>,
+        slice: &Slice,
     ) -> Result<()> {
         // The plane validated the destination before delegating; a racing
         // kill still surfaces here as the server's own WorkerFailed.
-        self.servers[destination as usize].push(consumer, producer, batches)
+        self.servers[destination as usize].push(consumer, producer, slice.batches().to_vec())
     }
 
     fn fail_peer(&self, _worker: WorkerId) {

@@ -291,8 +291,10 @@ impl OperatorSpec {
 /// that updates it).
 pub trait StageOperator: Send {
     /// Feed one batch arriving from upstream input `input`; returns any
-    /// output batches that can be emitted immediately.
-    fn push(&mut self, input: usize, batch: &Batch) -> Result<Vec<Batch>>;
+    /// output batches that can be emitted immediately. The operator owns
+    /// the batch, so state that keeps it (a join's build side, a sort's
+    /// buffer) and pass-through output take it without a copy.
+    fn push(&mut self, input: usize, batch: Batch) -> Result<Vec<Batch>>;
     /// Signal that upstream input `input` is exhausted; returns output that
     /// becomes available because of it (e.g. probe results buffered while a
     /// join's build side was still streaming in).
@@ -320,8 +322,8 @@ struct MapOperator {
 }
 
 impl StageOperator for MapOperator {
-    fn push(&mut self, _input: usize, batch: &Batch) -> Result<Vec<Batch>> {
-        Ok(vec![batch.clone()])
+    fn push(&mut self, _input: usize, batch: Batch) -> Result<Vec<Batch>> {
+        Ok(vec![batch])
     }
     fn finish_input(&mut self, _input: usize) -> Result<Vec<Batch>> {
         Ok(vec![])
@@ -366,7 +368,7 @@ impl PostTransformOperator {
 }
 
 impl StageOperator for PostTransformOperator {
-    fn push(&mut self, input: usize, batch: &Batch) -> Result<Vec<Batch>> {
+    fn push(&mut self, input: usize, batch: Batch) -> Result<Vec<Batch>> {
         let out = self.inner.push(input, batch)?;
         self.map(out)
     }
@@ -624,20 +626,20 @@ impl HashJoinOperator {
 }
 
 impl StageOperator for HashJoinOperator {
-    fn push(&mut self, input: usize, batch: &Batch) -> Result<Vec<Batch>> {
+    fn push(&mut self, input: usize, batch: Batch) -> Result<Vec<Batch>> {
         match input {
             0 => {
                 if self.build_done {
                     return Err(QuokkaError::internal("build input pushed after finish"));
                 }
-                self.staged_build.push(batch.clone());
+                self.staged_build.push(batch);
                 Ok(vec![])
             }
             1 => {
                 if self.build_done {
-                    self.probe(batch)
+                    self.probe(&batch)
                 } else {
-                    self.pending_probe.push(batch.clone());
+                    self.pending_probe.push(batch);
                     Ok(vec![])
                 }
             }
@@ -832,7 +834,8 @@ impl HashAggregateOperator {
 }
 
 impl StageOperator for HashAggregateOperator {
-    fn push(&mut self, _input: usize, batch: &Batch) -> Result<Vec<Batch>> {
+    fn push(&mut self, _input: usize, batch: Batch) -> Result<Vec<Batch>> {
+        let batch = &batch;
         if batch.num_rows() == 0 {
             return Ok(vec![]);
         }
@@ -987,7 +990,7 @@ impl PartialAggregator {
         }
         let groups = group_count_bound(&batch, &self.table.group_by);
         if groups.is_some_and(|g| g.saturating_mul(PARTIAL_MIN_ROWS_PER_GROUP) <= rows) {
-            self.table.push(0, &batch)?;
+            self.table.push(0, batch)?;
             return self
                 .table
                 .finish()?
@@ -1046,9 +1049,9 @@ impl SortOperator {
 }
 
 impl StageOperator for SortOperator {
-    fn push(&mut self, _input: usize, batch: &Batch) -> Result<Vec<Batch>> {
+    fn push(&mut self, _input: usize, batch: Batch) -> Result<Vec<Batch>> {
         if batch.num_rows() > 0 {
-            self.buffered.push(batch.clone());
+            self.buffered.push(batch);
         }
         Ok(vec![])
     }
@@ -1087,13 +1090,13 @@ struct LimitOperator {
 }
 
 impl StageOperator for LimitOperator {
-    fn push(&mut self, _input: usize, batch: &Batch) -> Result<Vec<Batch>> {
+    fn push(&mut self, _input: usize, batch: Batch) -> Result<Vec<Batch>> {
         if self.remaining == 0 || batch.num_rows() == 0 {
             return Ok(vec![]);
         }
         if batch.num_rows() <= self.remaining {
             self.remaining -= batch.num_rows();
-            Ok(vec![batch.clone()])
+            Ok(vec![batch])
         } else {
             let taken = batch.slice(0, self.remaining);
             self.remaining = 0;
@@ -1158,8 +1161,8 @@ mod tests {
     fn inner_join_matches_and_pipelines() {
         let mut op = join_spec(JoinType::Inner).instantiate().unwrap();
         // Probe arrives before build finishes: buffered, nothing emitted.
-        assert!(op.push(1, &probe_batch(vec![1, 5])).unwrap().is_empty());
-        op.push(0, &build_batch()).unwrap();
+        assert!(op.push(1, probe_batch(vec![1, 5])).unwrap().is_empty());
+        op.push(0, build_batch()).unwrap();
         assert!(op.state_bytes() > 0);
         // Finishing the build releases the buffered probe rows.
         let released = op.finish_input(0).unwrap();
@@ -1167,7 +1170,7 @@ mod tests {
         assert_eq!(released[0].num_rows(), 1); // key 5 has no match
         assert_eq!(released[0].value(0, 1), ScalarValue::Utf8("one".into()));
         // Subsequent probes stream straight through.
-        let streamed = op.push(1, &probe_batch(vec![2, 2])).unwrap();
+        let streamed = op.push(1, probe_batch(vec![2, 2])).unwrap();
         assert_eq!(streamed[0].num_rows(), 2);
         assert!(op.finish().unwrap().is_empty());
         op.reset();
@@ -1177,9 +1180,9 @@ mod tests {
     #[test]
     fn left_join_fills_defaults_for_unmatched_probe_rows() {
         let mut op = join_spec(JoinType::Left).instantiate().unwrap();
-        op.push(0, &build_batch()).unwrap();
+        op.push(0, build_batch()).unwrap();
         op.finish_input(0).unwrap();
-        let out = op.push(1, &probe_batch(vec![1, 99])).unwrap();
+        let out = op.push(1, probe_batch(vec![1, 99])).unwrap();
         let all = Batch::concat(&out).unwrap();
         assert_eq!(all.num_rows(), 2);
         // The unmatched row (p_key=99) has default build values.
@@ -1191,16 +1194,16 @@ mod tests {
     #[test]
     fn semi_and_anti_join_preserve_probe_columns_only() {
         let mut semi = join_spec(JoinType::Semi).instantiate().unwrap();
-        semi.push(0, &build_batch()).unwrap();
+        semi.push(0, build_batch()).unwrap();
         semi.finish_input(0).unwrap();
-        let out = semi.push(1, &probe_batch(vec![1, 99, 3])).unwrap();
+        let out = semi.push(1, probe_batch(vec![1, 99, 3])).unwrap();
         assert_eq!(out[0].num_rows(), 2);
         assert_eq!(out[0].schema().column_names(), vec!["p_key", "p_val"]);
 
         let mut anti = join_spec(JoinType::Anti).instantiate().unwrap();
-        anti.push(0, &build_batch()).unwrap();
+        anti.push(0, build_batch()).unwrap();
         anti.finish_input(0).unwrap();
-        let out = anti.push(1, &probe_batch(vec![1, 99, 3])).unwrap();
+        let out = anti.push(1, probe_batch(vec![1, 99, 3])).unwrap();
         assert_eq!(out[0].num_rows(), 1);
         assert_eq!(out[0].value(0, 0), ScalarValue::Int64(99));
     }
@@ -1218,12 +1221,12 @@ mod tests {
     #[test]
     fn keyless_join_emits_the_cartesian_product_in_bounded_chunks() {
         let mut op = cross_join_spec(JoinType::Inner).instantiate().unwrap();
-        op.push(0, &build_batch()).unwrap(); // 3 build rows
+        op.push(0, build_batch()).unwrap(); // 3 build rows
         op.finish_input(0).unwrap();
         // 6000 probe rows x 3 build rows = 18000 output rows, which must
         // arrive in several bounded batches rather than one.
         let probe = probe_batch((0..6000).collect());
-        let out = op.push(1, &probe).unwrap();
+        let out = op.push(1, probe.clone()).unwrap();
         assert!(out.len() > 1, "product must be chunked, got one batch of {}", out[0].num_rows());
         assert!(out.iter().all(|b| b.num_rows() <= 8192));
         assert_eq!(out.iter().map(Batch::num_rows).sum::<usize>(), 18_000);
@@ -1233,12 +1236,12 @@ mod tests {
 
         // Keyless semi/anti: all-or-nothing on build emptiness.
         let mut semi = cross_join_spec(JoinType::Semi).instantiate().unwrap();
-        semi.push(0, &build_batch()).unwrap();
+        semi.push(0, build_batch()).unwrap();
         semi.finish_input(0).unwrap();
-        assert_eq!(semi.push(1, &probe_batch(vec![1, 2])).unwrap()[0].num_rows(), 2);
+        assert_eq!(semi.push(1, probe_batch(vec![1, 2])).unwrap()[0].num_rows(), 2);
         let mut anti = cross_join_spec(JoinType::Anti).instantiate().unwrap();
         anti.finish_input(0).unwrap(); // empty build side
-        assert_eq!(anti.push(1, &probe_batch(vec![1, 2])).unwrap()[0].num_rows(), 2);
+        assert_eq!(anti.push(1, probe_batch(vec![1, 2])).unwrap()[0].num_rows(), 2);
     }
 
     #[test]
@@ -1259,7 +1262,7 @@ mod tests {
             ],
         )
         .unwrap();
-        assert!(op.push(0, &batch).unwrap().is_empty());
+        assert!(op.push(0, batch.clone()).unwrap().is_empty());
         assert!(op.state_bytes() > 0);
         let out = op.finish().unwrap();
         assert_eq!(out.len(), 1);
@@ -1283,7 +1286,7 @@ mod tests {
         });
         let mut op = spec.instantiate().unwrap();
         // Pushing an empty batch must not create a phantom group either.
-        op.push(0, &Batch::empty(schema)).unwrap();
+        op.push(0, Batch::empty(schema)).unwrap();
         let out = op.finish().unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].num_rows(), 0);
@@ -1311,7 +1314,7 @@ mod tests {
             ],
         )
         .unwrap();
-        op.push(0, &batch).unwrap();
+        op.push(0, batch.clone()).unwrap();
         let out = op.finish().unwrap();
         let result = &out[0];
         // An all-integer SUM stays Int64; the float column sums as Float64.
@@ -1346,8 +1349,8 @@ mod tests {
             ],
         )
         .unwrap();
-        op.push(0, &first).unwrap();
-        op.push(0, &second).unwrap();
+        op.push(0, first.clone()).unwrap();
+        op.push(0, second.clone()).unwrap();
         let out = op.finish().unwrap();
         let result = &out[0];
         assert_eq!(result.value(0, 1), ScalarValue::Utf8("apple".into()));
@@ -1376,8 +1379,8 @@ mod tests {
             .unwrap()
         };
         // Value 7 for group "a" appears in both batches and must count once.
-        op.push(0, &batch(vec!["a", "a", "b"], vec![7, 8, 7])).unwrap();
-        op.push(0, &batch(vec!["a", "b", "b"], vec![7, 9, 9])).unwrap();
+        op.push(0, batch(vec!["a", "a", "b"], vec![7, 8, 7])).unwrap();
+        op.push(0, batch(vec!["a", "b", "b"], vec![7, 9, 9])).unwrap();
         let out = op.finish().unwrap();
         let result = &out[0];
         assert_eq!(result.value(0, 0), ScalarValue::Utf8("a".into()));
@@ -1401,7 +1404,7 @@ mod tests {
             vec![Column::Int64(vec![10, 9, 10, -3]), Column::Int64(vec![0, 0, 0, 0])],
         )
         .unwrap();
-        op.push(0, &batch).unwrap();
+        op.push(0, batch.clone()).unwrap();
         let out = op.finish().unwrap();
         assert_eq!(out[0].column(0), &Column::Int64(vec![-3, 9, 10]));
         assert_eq!(out[0].column(1), &Column::Int64(vec![1, 1, 2]));
@@ -1439,10 +1442,10 @@ mod tests {
             let keys = quokka_batch::DictColumn::from_parts(codes, Arc::clone(&dict.values));
             Batch::try_new(schema.clone(), vec![Column::Dict(keys), Column::Int64(values)]).unwrap()
         };
-        op.push(0, &batch(&[0, 1, 2, 3], vec![1, 2, 3, 4])).unwrap();
+        op.push(0, batch(&[0, 1, 2, 3], vec![1, 2, 3, 4])).unwrap();
         let first = op.finish().unwrap();
         assert_eq!(first[0].column(1), &Column::Int64(vec![2, 5, 3]));
-        op.push(0, &batch(&[2, 2], vec![10, 20])).unwrap();
+        op.push(0, batch(&[2, 2], vec![10, 20])).unwrap();
         let second = op.finish().unwrap();
         assert_eq!(second[0].column(0), &Column::Utf8(vec!["c".to_string()]));
         assert_eq!(second[0].column(1), &Column::Int64(vec![30]));
@@ -1488,7 +1491,7 @@ mod tests {
             });
             spec.post.extend(split.finish.clone().map(Transform::Project));
             let mut op = spec.instantiate().unwrap();
-            op.push(0, states).unwrap();
+            op.push(0, states.clone()).unwrap();
             op.finish().unwrap().remove(0)
         };
         let mut one_phase = OperatorSpec::new(CoreOp::HashAggregate {
@@ -1498,7 +1501,7 @@ mod tests {
         })
         .instantiate()
         .unwrap();
-        one_phase.push(0, &bounded).unwrap();
+        one_phase.push(0, bounded.clone()).unwrap();
         let expected = one_phase.finish().unwrap().remove(0);
         for merged in [merge(&pre_aggregated), merge(&row_by_row)] {
             assert_eq!(merged.schema(), expected.schema());
@@ -1563,19 +1566,19 @@ mod tests {
         });
         let mut op = spec.instantiate().unwrap();
         let batch = Batch::try_new(schema.clone(), vec![Column::Int64(vec![5, 1, 9, 3])]).unwrap();
-        op.push(0, &batch).unwrap();
+        op.push(0, batch.clone()).unwrap();
         let out = op.finish().unwrap();
         assert_eq!(out[0].column(0), &Column::Int64(vec![9, 5]));
 
         let spec = OperatorSpec::new(CoreOp::Limit { input_schema: schema.clone(), n: 3 });
         let mut op = spec.instantiate().unwrap();
-        let first = op.push(0, &batch.slice(0, 2)).unwrap();
+        let first = op.push(0, batch.slice(0, 2)).unwrap();
         assert_eq!(first[0].num_rows(), 2);
-        let second = op.push(0, &batch).unwrap();
+        let second = op.push(0, batch.clone()).unwrap();
         assert_eq!(second[0].num_rows(), 1);
-        assert!(op.push(0, &batch).unwrap().is_empty());
+        assert!(op.push(0, batch.clone()).unwrap().is_empty());
         op.reset();
-        assert_eq!(op.push(0, &batch).unwrap()[0].num_rows(), 3);
+        assert_eq!(op.push(0, batch.clone()).unwrap()[0].num_rows(), 3);
     }
 
     #[test]
@@ -1591,7 +1594,7 @@ mod tests {
             vec![Column::Int64(vec![1, 2, 3]), Column::Int64(vec![3, 7, 9])],
         )
         .unwrap();
-        let out = op.push(0, &batch).unwrap();
+        let out = op.push(0, batch.clone()).unwrap();
         assert_eq!(out[0].column(0), &Column::Int64(vec![14, 18]));
         assert_eq!(out[0].schema().column_names(), vec!["doubled"]);
     }

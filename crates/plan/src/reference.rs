@@ -89,7 +89,7 @@ impl<'a> ReferenceExecutor<'a> {
                     aggregates: aggregates.clone(),
                 });
                 let mut op = spec.instantiate()?;
-                op.push(0, &batch)?;
+                op.push(0, batch)?;
                 let out = op.finish()?;
                 Batch::concat(&out)
             }

@@ -536,9 +536,9 @@ mod tests {
         let mut producer = graph.stage(0).op.instantiate().unwrap();
         let mut merge = graph.stage(1).op.instantiate().unwrap();
         for batch in batches {
-            for partial in producer.push(0, batch).unwrap() {
+            for partial in producer.push(0, batch.clone()).unwrap() {
                 assert_eq!(partial.schema(), &graph.stage(0).output_schema().unwrap());
-                merge.push(0, &partial).unwrap();
+                merge.push(0, partial).unwrap();
             }
         }
         Batch::concat(&merge.finish().unwrap()).unwrap()

@@ -1,17 +1,16 @@
 //! Property tests for the compressed column encodings.
 //!
 //! Each encoding (dictionary strings, bit-packed integers/dates, XOR floats)
-//! must survive three independent journeys without changing logical content:
-//! in-memory encode -> decode, the transport wire format, and the durable
-//! backup codec. Edge shapes — empty columns, single values, all-equal
+//! must survive two independent journeys without changing logical content:
+//! in-memory encode -> decode, and the wire partition every output slice is
+//! backed up, shipped and replayed as. Edge shapes — empty columns, single values, all-equal
 //! columns — are covered both by dedicated tests and by the random
 //! generators (which are biased towards runs and repeats so the encodings
 //! actually engage).
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use quokka::batch::codec::{decode_partition, encode_batch, encode_partition};
-use quokka::batch::wire::{decode_batch as wire_decode, encode_batch_into};
+use quokka::batch::wire::{decode_partition, encode_partition};
 use quokka::batch::{
     Batch, Column, DictColumn, Field, PackedIntColumn, PackedLogical, Schema, XorFloatColumn,
 };
@@ -22,32 +21,18 @@ fn batch_of(name: &str, col: Column) -> Batch {
     Batch::try_new(Schema::new(vec![field]), vec![col]).unwrap()
 }
 
-/// Assert one column survives the wire format and the durable codec with
-/// its logical content intact, and that re-encoding the wire decode is
-/// byte-exact (replayed partitions must be indistinguishable from the
-/// originals).
+/// Assert one column survives the wire partition with its logical content
+/// intact, and that re-encoding the decode is byte-exact (replayed
+/// partitions must be indistinguishable from the originals).
 fn assert_roundtrips(col: &Column) {
     let plain = col.decoded().into_owned();
     assert_eq!(col, &plain, "decode must preserve logical content");
 
     let b = batch_of("c", col.clone());
-    let mut frame = Vec::new();
-    encode_batch_into(&b, &mut frame);
-    let from_wire = wire_decode(&frame).unwrap();
-    assert_eq!(from_wire, b, "wire round-trip changed the column");
-    let mut again = Vec::new();
-    encode_batch_into(&from_wire, &mut again);
-    assert_eq!(frame, again, "wire re-encode must be byte-exact");
-
     let payload = encode_partition(std::slice::from_ref(&b));
-    let from_codec = decode_partition(&payload).unwrap();
-    assert_eq!(from_codec.len(), 1);
-    assert_eq!(from_codec[0], b, "codec round-trip changed the column");
-    assert_eq!(
-        encode_batch(&from_codec[0]),
-        encode_batch(&b),
-        "codec re-encode must be byte-exact"
-    );
+    let decoded = decode_partition(&payload).unwrap();
+    assert_eq!(decoded, vec![b], "wire round-trip changed the column");
+    assert_eq!(encode_partition(&decoded), payload, "wire re-encode must be byte-exact");
 }
 
 fn random_dict(rng: &mut TestRng, rows: usize) -> Column {
@@ -207,13 +192,9 @@ fn nonfinite_floats_roundtrip_through_xor() {
     assert_eq!(decoded[0], f64::INFINITY);
     assert_eq!(decoded[3].to_bits(), (-0.0f64).to_bits());
 
-    let b = batch_of("f", col);
-    let mut frame = Vec::new();
-    encode_batch_into(&b, &mut frame);
-    let back = wire_decode(&frame).unwrap();
-    let mut again = Vec::new();
-    encode_batch_into(&back, &mut again);
-    assert_eq!(frame, again);
+    let payload = encode_partition(&[batch_of("f", col)]);
+    let back = decode_partition(&payload).unwrap();
+    assert_eq!(encode_partition(&back), payload);
 }
 
 /// Dictionary-encoded and plain string columns that hold the same values

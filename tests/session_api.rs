@@ -1,10 +1,10 @@
 //! Integration tests for the facade API plus property-based tests on the
-//! invariants the engine's correctness rests on (batch codec round-trips,
+//! invariants the engine's correctness rests on (wire partition round-trips,
 //! hash-partition completeness, canonical result comparison).
 
 use proptest::prelude::*;
-use quokka::batch::codec::{decode_partition, encode_partition};
 use quokka::batch::compute::hash_partition;
+use quokka::batch::wire::{decode_partition, encode_partition};
 use quokka::{
     canonical_rows, results_match, same_result, Batch, Column, DataType, EngineConfig,
     QuokkaSession, Schema,
@@ -135,8 +135,9 @@ fn arbitrary_batch() -> impl Strategy<Value = Batch> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The codec used for upstream backup and spooling must round-trip every
-    /// batch exactly: a replayed partition has to be bit-identical.
+    /// The wire partition every slice is backed up, spooled and shipped as
+    /// must round-trip every batch exactly: a replayed partition has to be
+    /// bit-identical.
     #[test]
     fn partition_codec_round_trips(batch in arbitrary_batch()) {
         let payload = encode_partition(std::slice::from_ref(&batch));
