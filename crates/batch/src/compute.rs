@@ -533,19 +533,6 @@ pub fn sort_indices(batch: &Batch, keys: &[SortKey]) -> Vec<usize> {
     indices
 }
 
-/// Compare row `a` of `left` with row `b` of `right` under `keys` (the
-/// column indices refer to both batches, which must share a schema).
-pub fn compare_rows(left: &Batch, a: usize, right: &Batch, b: usize, keys: &[SortKey]) -> Ordering {
-    for key in keys {
-        let ord = cmp_values(left.column(key.column), a, right.column(key.column), b);
-        let ord = if key.ascending { ord } else { ord.reverse() };
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
-}
-
 /// Sort a batch by the given keys.
 pub fn sort_batch(batch: &Batch, keys: &[SortKey]) -> Result<Batch> {
     let idx = sort_indices(batch, keys);

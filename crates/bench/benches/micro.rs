@@ -13,7 +13,7 @@ use quokka::batch::compute::{hash_partition, in_list, like, sort_batch, SortKey}
 use quokka::batch::wire::encode_partition;
 use quokka::common::ids::ChannelAddr;
 use quokka::gcs::tables::{
-    ChannelState, Gcs, LineageRecord, LineageSource, PartitionEntry, TaskCommit, TaskEntry,
+    ChannelState, Gcs, LineageRecord, LineageSource, PartitionEntry, TaskCommit,
 };
 use quokka::plan::aggregate::sum;
 use quokka::plan::expr::col;
@@ -60,19 +60,10 @@ fn bench_lineage_commit(c: &mut Criterion) {
                     },
                     finished_inputs: vec![],
                     finalize: false,
-                    output_rows: 8192,
-                    output_bytes: 1 << 20,
                 },
-                partition: PartitionEntry {
-                    name: task,
-                    owner: 0,
-                    backed_up: true,
-                    spooled: false,
-                    bytes: 1 << 20,
-                },
+                partition: PartitionEntry { name: task, owner: 0, backed_up: true, spooled: false },
                 channel_state: state,
                 prev_channel: None,
-                next_task: Some(TaskEntry { task: channel.task(seq + 1), worker: 0 }),
             };
             gcs.commit_task(&commit, false).unwrap();
             seq += 1;

@@ -30,6 +30,7 @@ use quokka::batch::{Batch, Column, ScalarValue, Schema};
 use quokka::plan::physical::{CoreOp, OperatorSpec};
 use quokka::plan::{AggExpr, AggFunc, Catalog, Expr, JoinType};
 use quokka::QuokkaSession;
+use quokka_bench::env_or;
 use std::time::Instant;
 
 /// Repetitions per kernel; the best (minimum) time is reported.
@@ -68,10 +69,6 @@ impl ColumnStat {
             self.plain_bytes as f64 / self.encoded_bytes as f64
         }
     }
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
 /// Decode every column of every batch to its plain representation.
@@ -134,9 +131,8 @@ fn project(batches: &[Batch], names: &[&str]) -> (Schema, Vec<Batch>) {
 }
 
 fn main() {
-    let scale_factor = env_f64("QUOKKA_SF", 0.01);
-    let out_path =
-        std::env::var("QUOKKA_BENCH_OUT").unwrap_or_else(|_| "BENCH_encoding.json".to_string());
+    let scale_factor = env_or("QUOKKA_SF", 0.01);
+    let out_path = env_or("QUOKKA_BENCH_OUT", "BENCH_encoding.json".to_string());
 
     eprintln!("[encoding] generating TPC-H data at SF {scale_factor} ...");
     let session = QuokkaSession::tpch(scale_factor, 4).expect("generate TPC-H data");

@@ -18,12 +18,9 @@ use quokka::plan::expr::col;
 use quokka::plan::logical::JoinType;
 use quokka::plan::physical::{CoreOp, OperatorSpec};
 use quokka::{Batch, Column, DataType, ScalarValue, Schema};
+use quokka_bench::env_or;
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 /// Best-of-N wall-clock seconds for one closure.
 fn time_best<F: FnMut() -> u64>(runs: usize, mut f: F) -> (f64, u64) {
@@ -170,9 +167,8 @@ impl Entry {
 }
 
 fn main() {
-    let rows = env_usize("QUOKKA_BENCH_ROWS", 1_000_000).max(1);
-    let out_path =
-        std::env::var("QUOKKA_BENCH_OUT").unwrap_or_else(|_| "BENCH_kernels.json".to_string());
+    let rows = env_or("QUOKKA_BENCH_ROWS", 1_000_000usize).max(1);
+    let out_path = env_or("QUOKKA_BENCH_OUT", "BENCH_kernels.json".to_string());
     let runs = 3;
     let mut entries: Vec<Entry> = Vec::new();
 

@@ -30,7 +30,7 @@
 //! `QUOKKA_BENCH_OUT` (default `BENCH_recovery.json`).
 
 use quokka::FaultStrategy;
-use quokka_bench::{queries_from_env, workers_from_env, Harness};
+use quokka_bench::{env_or, queries_from_env, workers_from_env, Harness};
 
 /// Queries whose recovery must strictly beat a restart.
 const GATED: [usize; 2] = [3, 9];
@@ -129,9 +129,8 @@ fn main() -> quokka::Result<()> {
     let harness = Harness::from_env()?;
     let workers = workers_from_env(&[4])[0];
     let queries = queries_from_env(&[3, 9]);
-    let reps: usize = std::env::var("QUOKKA_REPS").ok().and_then(|v| v.parse().ok()).unwrap_or(5);
-    let out_path =
-        std::env::var("QUOKKA_BENCH_OUT").unwrap_or_else(|_| "BENCH_recovery.json".to_string());
+    let reps: usize = env_or("QUOKKA_REPS", 5);
+    let out_path = env_or("QUOKKA_BENCH_OUT", "BENCH_recovery.json".to_string());
 
     let wal = harness.quokka_config(workers);
     let none = harness.quokka_config(workers).with_fault(FaultStrategy::None);

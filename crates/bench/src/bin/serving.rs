@@ -31,6 +31,7 @@ use quokka::{
     results_match, AdmissionConfig, Batch, EngineConfig, PlanCacheConfig, QuokkaError,
     QuokkaSession,
 };
+use quokka_bench::env_or;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -219,15 +220,11 @@ fn check_clean(r: &PhaseResult) {
 }
 
 fn main() {
-    let scale_factor =
-        std::env::var("QUOKKA_SF").ok().and_then(|v| v.parse().ok()).unwrap_or(0.005);
-    let workers = std::env::var("QUOKKA_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(2);
-    let clients: usize =
-        std::env::var("QUOKKA_CLIENTS").ok().and_then(|v| v.parse().ok()).unwrap_or(4);
-    let iters: usize =
-        std::env::var("QUOKKA_SERVING_ITERS").ok().and_then(|v| v.parse().ok()).unwrap_or(3);
-    let out_path =
-        std::env::var("QUOKKA_BENCH_OUT").unwrap_or_else(|_| "BENCH_serving.json".to_string());
+    let scale_factor = env_or("QUOKKA_SF", 0.005);
+    let workers = env_or("QUOKKA_WORKERS", 2);
+    let clients: usize = env_or("QUOKKA_CLIENTS", 4);
+    let iters: usize = env_or("QUOKKA_SERVING_ITERS", 3);
+    let out_path = env_or("QUOKKA_BENCH_OUT", "BENCH_serving.json".to_string());
 
     eprintln!("[serving] generating TPC-H data at SF {scale_factor} ...");
     let config = EngineConfig::quokka(workers);

@@ -27,6 +27,7 @@
 //! (default `BENCH_shuffle.json`).
 
 use quokka::{results_match, EngineConfig, QuokkaSession};
+use quokka_bench::{env_or, queries_from_env};
 
 /// Queries whose shuffle volume must strictly shrink under optimization.
 const GATED: [usize; 3] = [3, 5, 9];
@@ -68,20 +69,11 @@ impl Entry {
     }
 }
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn env_u32(name: &str, default: u32) -> u32 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
 fn main() {
-    let scale_factor = env_f64("QUOKKA_SF", 0.01);
-    let workers = env_u32("QUOKKA_WORKERS", 4);
-    let queries = quokka_bench::queries_from_env(&[1, 3, 4, 5, 6, 9, 10, 12, 13, 21]);
-    let out_path =
-        std::env::var("QUOKKA_BENCH_OUT").unwrap_or_else(|_| "BENCH_shuffle.json".to_string());
+    let scale_factor = env_or("QUOKKA_SF", 0.01);
+    let workers = env_or("QUOKKA_WORKERS", 4u32);
+    let queries = queries_from_env(&[1, 3, 4, 5, 6, 9, 10, 12, 13, 21]);
+    let out_path = env_or("QUOKKA_BENCH_OUT", "BENCH_shuffle.json".to_string());
 
     eprintln!("[shuffle] generating TPC-H data at SF {scale_factor} ...");
     let session = QuokkaSession::tpch(scale_factor, workers).expect("generate TPC-H data");

@@ -21,6 +21,7 @@
 
 use quokka::dataframe::{col, date, NamedExpr};
 use quokka::{CostModelConfig, DataFrame, EngineConfig, QuokkaSession};
+use quokka_bench::env_or;
 use std::time::{Duration, Instant};
 
 struct Entry {
@@ -75,10 +76,9 @@ fn measure(name: &'static str, frame: &DataFrame) -> Entry {
 }
 
 fn main() {
-    let scale_factor = std::env::var("QUOKKA_SF").ok().and_then(|v| v.parse().ok()).unwrap_or(0.01);
-    let workers = std::env::var("QUOKKA_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(4);
-    let out_path =
-        std::env::var("QUOKKA_BENCH_OUT").unwrap_or_else(|_| "BENCH_streaming.json".to_string());
+    let scale_factor = env_or("QUOKKA_SF", 0.01);
+    let workers = env_or("QUOKKA_WORKERS", 4);
+    let out_path = env_or("QUOKKA_BENCH_OUT", "BENCH_streaming.json".to_string());
 
     eprintln!("[streaming] generating TPC-H data at SF {scale_factor} ...");
     // A scaled cost model charges realistic (shrunk) data-path delays, so

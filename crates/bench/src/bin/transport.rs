@@ -30,6 +30,7 @@ use quokka::common::{ChannelAddr, MetricsRegistry, TransportConfig};
 use quokka::net::DataPlane;
 use quokka::storage::CostModel;
 use quokka::{results_match, CostModelConfig, EngineConfig, QuokkaSession};
+use quokka_bench::env_or;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -60,14 +61,6 @@ struct QueryResult {
     shuffle_raw_bytes: u64,
     backup_bytes: u64,
     backup_raw_bytes: u64,
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
 fn slice(seq: usize, rows: usize) -> Batch {
@@ -135,13 +128,12 @@ fn run_micro(
 }
 
 fn main() {
-    let scale_factor = env_f64("QUOKKA_SF", 0.01);
-    let cost_scale = env_f64("QUOKKA_COST_SCALE", 0.02);
-    let workers = env_usize("QUOKKA_WORKERS", 4) as u32;
-    let slices = env_usize("QUOKKA_BENCH_SLICES", 256).max(1);
-    let rows = env_usize("QUOKKA_BENCH_ROWS", 8192).max(1);
-    let out_path =
-        std::env::var("QUOKKA_BENCH_OUT").unwrap_or_else(|_| "BENCH_transport.json".to_string());
+    let scale_factor = env_or("QUOKKA_SF", 0.01);
+    let cost_scale = env_or("QUOKKA_COST_SCALE", 0.02);
+    let workers = env_or("QUOKKA_WORKERS", 4usize) as u32;
+    let slices = env_or("QUOKKA_BENCH_SLICES", 256usize).max(1);
+    let rows = env_or("QUOKKA_BENCH_ROWS", 8192usize).max(1);
+    let out_path = env_or("QUOKKA_BENCH_OUT", "BENCH_transport.json".to_string());
 
     let backends: [(&'static str, TransportConfig); 2] =
         [("inproc", TransportConfig::inproc()), ("tcp", TransportConfig::tcp())];

@@ -9,7 +9,8 @@
 //! comparisons (who wins, by roughly what factor) are the reproduction
 //! target.
 //!
-//! Environment knobs shared by all binaries:
+//! Environment knobs shared by all binaries (each bin reads its own with
+//! [`env_or`]):
 //!
 //! * `QUOKKA_SF` — TPC-H scale factor (default 0.01).
 //! * `QUOKKA_WORKERS` — comma-separated cluster sizes to run (default
@@ -47,8 +48,8 @@ pub struct Harness {
 impl Harness {
     /// Build the harness from the environment knobs.
     pub fn from_env() -> quokka::Result<Self> {
-        let scale_factor = env_f64("QUOKKA_SF", 0.01);
-        let cost_scale = env_f64("QUOKKA_COST_SCALE", 0.02);
+        let scale_factor = env_or("QUOKKA_SF", 0.01);
+        let cost_scale = env_or("QUOKKA_COST_SCALE", 0.02);
         eprintln!("[harness] generating TPC-H data at SF {scale_factor} ...");
         // The catalog is worker-count independent; EngineConfig decides the
         // cluster shape per run.
@@ -144,7 +145,9 @@ pub fn workers_from_env(default: &[u32]) -> Vec<u32> {
     }
 }
 
-fn env_f64(name: &str, default: f64) -> f64 {
+/// Environment variable `name` parsed as a `T`, or `default` when it is
+/// unset or does not parse.
+pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
@@ -193,5 +196,15 @@ mod tests {
         std::env::remove_var("QUOKKA_WORKERS");
         assert_eq!(queries_from_env(&[1, 6]), vec![1, 6]);
         assert_eq!(workers_from_env(&[4, 16]), vec![4, 16]);
+
+        let knob = "QUOKKA_BENCH_ENV_OR_TEST";
+        std::env::remove_var(knob);
+        assert_eq!(env_or(knob, 0.5), 0.5);
+        std::env::set_var(knob, "nope");
+        assert_eq!(env_or(knob, 7u32), 7);
+        std::env::set_var(knob, "12");
+        assert_eq!(env_or(knob, 7u32), 12);
+        assert_eq!(env_or(knob, String::new()), "12");
+        std::env::remove_var(knob);
     }
 }

@@ -131,12 +131,6 @@ impl ChaosPlan {
         )
     }
 
-    /// Whether any injection kills a worker (as opposed to only degrading
-    /// the run). Kill events are the ones that demand a recovery strategy.
-    pub fn kills_workers(&self) -> bool {
-        self.injections.iter().any(|i| matches!(i.event, ChaosEvent::KillWorker { .. }))
-    }
-
     /// A randomized-but-reproducible plan: the same `(seed, workers)` pair
     /// always yields the same plan, so a failing run is reproduced from its
     /// printed seed alone.

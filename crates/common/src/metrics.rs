@@ -146,15 +146,6 @@ impl QueryMetrics {
             self.runtime.as_secs_f64() / baseline.as_secs_f64()
         }
     }
-
-    /// Speedup of a baseline over this run (how much faster this run is).
-    pub fn speedup_over(&self, other: Duration) -> f64 {
-        if self.runtime.is_zero() {
-            f64::NAN
-        } else {
-            other.as_secs_f64() / self.runtime.as_secs_f64()
-        }
-    }
 }
 
 /// Thread-safe counters shared by workers, the coordinator, the data plane
@@ -484,7 +475,6 @@ mod tests {
     fn overhead_and_speedup_ratios() {
         let m = QueryMetrics { runtime: Duration::from_secs(3), ..Default::default() };
         assert!((m.overhead_vs(Duration::from_secs(2)) - 1.5).abs() < 1e-9);
-        assert!((m.speedup_over(Duration::from_secs(6)) - 2.0).abs() < 1e-9);
         assert!(m.overhead_vs(Duration::ZERO).is_nan());
     }
 }

@@ -38,8 +38,8 @@ use quokka_common::ids::{TaskName, WorkerId};
 use quokka_common::metrics::{MetricsRegistry, PeerWireStats};
 use quokka_common::{QuokkaError, Result};
 use quokka_gcs::remote::{
-    self, ControlClient, OP_DURABLE_CONTAINS, OP_DURABLE_GET, OP_DURABLE_LIST, OP_DURABLE_PUT,
-    OP_DURABLE_READ_SPLIT, OP_GCS, OP_HEARTBEAT, OP_SINK_EMIT, OP_WIRE_STATS,
+    self, ControlClient, OP_DURABLE_GET, OP_DURABLE_PUT, OP_DURABLE_READ_SPLIT, OP_GCS,
+    OP_HEARTBEAT, OP_SINK_EMIT, OP_WIRE_STATS,
 };
 use quokka_gcs::Gcs;
 use quokka_net::{DataPlane, FlightServer, TcpTransport};
@@ -140,37 +140,6 @@ impl ObjectStore for RemoteDurable {
         let payload = Bytes::from(r.bytes()?.to_vec());
         r.expect_end()?;
         Ok(payload)
-    }
-
-    fn contains(&self, key: &str) -> bool {
-        let mut req = Vec::with_capacity(key.len() + 8);
-        wire::put_u8(&mut req, OP_DURABLE_CONTAINS);
-        wire::put_str(&mut req, key);
-        match self.client.request(&req).and_then(|resp| WireReader::new(&resp).bool()) {
-            Ok(present) => present,
-            Err(e) => panic!("durable store connection to driver lost: {e}"),
-        }
-    }
-
-    fn list_prefix(&self, prefix: &str) -> Vec<String> {
-        let mut req = Vec::with_capacity(prefix.len() + 8);
-        wire::put_u8(&mut req, OP_DURABLE_LIST);
-        wire::put_str(&mut req, prefix);
-        let listing = (|| -> Result<Vec<String>> {
-            let resp = self.client.request(&req)?;
-            let mut r = WireReader::new(&resp);
-            let count = r.u32()? as usize;
-            let mut keys = Vec::with_capacity(count);
-            for _ in 0..count {
-                keys.push(r.str()?);
-            }
-            r.expect_end()?;
-            Ok(keys)
-        })();
-        match listing {
-            Ok(keys) => keys,
-            Err(e) => panic!("durable store connection to driver lost: {e}"),
-        }
     }
 
     /// One control round trip: the driver projects the split to `schema`
@@ -311,23 +280,6 @@ fn dispatch(payload: &[u8], state: &ControlState) -> Result<Vec<u8>> {
             r.expect_end()?;
             let batch = state.durable.read_split(&table, split, &schema)?;
             Ok(remote::ok_frame(|buf| wire::encode_batch_into(&batch, buf)))
-        }
-        OP_DURABLE_CONTAINS => {
-            let key = r.str()?;
-            r.expect_end()?;
-            let present = state.durable.contains(&key);
-            Ok(remote::ok_frame(|buf| wire::put_bool(buf, present)))
-        }
-        OP_DURABLE_LIST => {
-            let prefix = r.str()?;
-            r.expect_end()?;
-            let keys = state.durable.list_prefix(&prefix);
-            Ok(remote::ok_frame(|buf| {
-                wire::put_u32(buf, keys.len() as u32);
-                for key in &keys {
-                    wire::put_str(buf, key);
-                }
-            }))
         }
         OP_SINK_EMIT => {
             let stage = r.u32()?;
@@ -556,24 +508,17 @@ pub fn run_process_query(query: ProcessQuery) -> Result<QueryOutcome> {
     // stream protocol as the in-process runtime.
     let coordinator = {
         let services = Arc::clone(&services);
-        let gcs = Arc::clone(&gcs);
-        let metrics = Arc::clone(&metrics);
-        let config = config.clone();
         thread::spawn(move || {
             let start = Instant::now();
-            metrics.restart_clock();
+            services.metrics.restart_clock();
             let outcome = Coordinator::new(Arc::clone(&services)).run();
+            let gcs = &services.gcs;
             if gcs.query_error().is_none() && !gcs.is_query_done() {
                 gcs.set_query_done();
             }
             let event = match outcome {
                 CoordinatorOutcome::Completed => {
-                    let mut snapshot = metrics.snapshot(start.elapsed());
-                    snapshot.lineage_bytes = gcs.lineage_bytes();
-                    snapshot.gcs_transactions = gcs.transactions();
-                    snapshot.effective_watchdog = config.watchdog;
-                    snapshot.effective_suspicion_timeout = config.cluster.suspicion_timeout;
-                    StreamEvent::Finished(Box::new(snapshot))
+                    StreamEvent::Finished(Box::new(services.finished_metrics(start.elapsed())))
                 }
                 CoordinatorOutcome::Failed(error) => StreamEvent::Failed(error),
                 CoordinatorOutcome::NeedsRestart { .. } => {
@@ -830,7 +775,6 @@ mod tests {
     use quokka_common::ids::ChannelAddr;
     use quokka_gcs::tables::{
         ChannelState, LineageRecord, LineageSource, PartitionEntry, ReplayRequest, TaskCommit,
-        TaskEntry,
     };
     use quokka_plan::logical::PlanBuilder;
 
@@ -907,19 +851,15 @@ mod tests {
                 source: LineageSource::InputSplits { splits: vec![0, 1] },
                 finished_inputs: vec![],
                 finalize: false,
-                output_rows: 80,
-                output_bytes: 640,
             },
             partition: PartitionEntry {
                 name: scan.task(seq),
                 owner: 0,
                 backed_up: true,
                 spooled: false,
-                bytes: 640,
             },
             channel_state: ChannelState { committed_seq: Some(seq), ..prev.clone() },
             prev_channel: Some(prev.clone()),
-            next_task: Some(TaskEntry { task: scan.task(seq + 1), worker: 0 }),
         };
         let replay = ReplayRequest::new(1, scan.task(0), sink);
         let mut answers = BTreeMap::new();
@@ -929,11 +869,9 @@ mod tests {
 
         gcs.put_channel(&fresh);
         gcs.put_channel(&ChannelState::new(sink, 1, 1));
-        gcs.put_task(&TaskEntry { task: scan.task(0), worker: 0 });
         gcs.publish_process(0, "127.0.0.1:7001".parse().unwrap());
         answer("rendezvous", &(gcs.process_addr(0), gcs.process_addr(1)));
         answer("channels", &(gcs.get_channel(scan), gcs.get_channel(ChannelAddr::new(9, 9))));
-        answer("tasks", &(gcs.get_task(scan), gcs.get_task(sink)));
         answer("flags", &(gcs.is_paused(), gcs.is_query_done(), gcs.query_error()));
         answer("commit", &gcs.commit_task(&commit(0, &fresh), false));
         answer(
@@ -941,7 +879,7 @@ mod tests {
             &(gcs.lineage_committed(scan.task(0)), gcs.lineage_committed(scan.task(1))),
         );
         answer("records", &(gcs.get_lineage(scan.task(0)), gcs.get_partition(scan.task(0))));
-        answer("after commit", &(gcs.get_task(scan), gcs.all_channels()));
+        answer("after commit", &gcs.all_channels());
         answer("stale commit", &gcs.commit_task(&commit(1, &fresh), false));
         gcs.set_paused(true);
         answer("paused commit", &gcs.commit_task(&commit(1, &done), false));

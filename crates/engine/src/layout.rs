@@ -150,16 +150,6 @@ impl QueryLayout {
             })
     }
 
-    /// Channels of every upstream stage feeding operator input `input_index`
-    /// of `stage`.
-    pub fn input_channels(&self, stage: StageId, input_index: usize) -> Vec<ChannelAddr> {
-        self.upstream_channels[stage as usize]
-            .iter()
-            .filter(|(idx, _)| *idx == input_index)
-            .map(|(_, addr)| *addr)
-            .collect()
-    }
-
     /// Number of operator inputs of `stage`.
     pub fn num_inputs(&self, stage: StageId) -> usize {
         self.graph.stage(stage).inputs.len()
@@ -237,7 +227,6 @@ mod tests {
         assert_eq!(ups[3], (1, ChannelAddr::new(1, 1)));
         assert_eq!(l.watermark_index(2, ChannelAddr::new(1, 0)).unwrap(), 2);
         assert!(l.watermark_index(2, ChannelAddr::new(3, 0)).is_err());
-        assert_eq!(l.input_channels(2, 1), vec![ChannelAddr::new(1, 0), ChannelAddr::new(1, 1)]);
         assert_eq!(l.num_inputs(2), 2);
         assert_eq!(l.num_inputs(0), 0);
     }

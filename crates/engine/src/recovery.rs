@@ -31,7 +31,7 @@ use crate::chaos;
 use crate::worker::Services;
 use quokka_common::ids::{ChannelAddr, WorkerId};
 use quokka_common::{QuokkaError, Result};
-use quokka_gcs::tables::{ChannelState, ReplayRequest, TaskEntry};
+use quokka_gcs::tables::{ChannelState, ReplayRequest};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -471,7 +471,6 @@ impl Coordinator {
                 (None, committed) => committed,
             };
             gcs.put_channel(&state);
-            gcs.put_task(&TaskEntry { task: channel.task(0), worker: new_worker });
         }
 
         // Replays only matter for partitions feeding rewound channels; they

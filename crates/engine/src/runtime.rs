@@ -296,14 +296,7 @@ fn run_attempt(
 
     Ok(match outcome {
         CoordinatorOutcome::Completed => {
-            let mut snapshot = metrics.snapshot(elapsed);
-            snapshot.lineage_bytes = gcs.lineage_bytes();
-            snapshot.gcs_transactions = gcs.transactions();
-            // Surface the effective robustness settings so tests (and
-            // callers) can assert what the run actually used.
-            snapshot.effective_watchdog = config.watchdog;
-            snapshot.effective_suspicion_timeout = config.cluster.suspicion_timeout;
-            AttemptOutcome::Completed(Box::new(snapshot))
+            AttemptOutcome::Completed(Box::new(services.finished_metrics(elapsed)))
         }
         CoordinatorOutcome::Failed(error) => AttemptOutcome::Failed(error),
         CoordinatorOutcome::NeedsRestart { failed } => {

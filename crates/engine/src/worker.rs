@@ -3,7 +3,8 @@
 //! Each worker machine runs one [`StageWorker`] thread per stage. On every
 //! pass the thread serves the replays addressed to its worker, then reads
 //! the GCS for the channels of its stage currently assigned to its worker
-//! and, for each, tries to execute the channel's outstanding task:
+//! and, for each, tries to execute the channel's outstanding task (task
+//! [`ChannelState::next_seq`] of a channel that is not done):
 //!
 //! 1. pick the task's inputs — dynamically under
 //!    [`SchedulePolicy::Dynamic`], in fixed batches under
@@ -14,8 +15,9 @@
 //! 3. run the channel's stateful operator, push the resulting slices to the
 //!    downstream flight servers, back them up to local disk (and/or spool
 //!    them durably, depending on the fault-tolerance strategy);
-//! 4. commit the lineage, the partition-directory entry, the new channel
-//!    watermarks and the next task **in a single GCS transaction**; if the
+//! 4. commit the lineage, the partition-directory entry and the new channel
+//!    state (watermarks and committed sequence number, which also name the
+//!    next task) **in a single GCS transaction**; if the
 //!    push failed or the recovery barrier was raised, nothing is committed
 //!    and the task is retried later.
 //!
@@ -42,12 +44,11 @@ use quokka_batch::compute::hash_partition;
 use quokka_batch::{Batch, Column, Slice};
 use quokka_common::config::{EngineConfig, ExecutionMode, FaultStrategy, SchedulePolicy};
 use quokka_common::ids::{ChannelAddr, SeqNo, StageId, TaskName, WorkerId};
-use quokka_common::metrics::MetricsRegistry;
+use quokka_common::metrics::{MetricsRegistry, QueryMetrics};
 use quokka_common::retry::RetryPolicy;
 use quokka_common::{QuokkaError, Result};
 use quokka_gcs::tables::{
     ChannelState, LineageRecord, LineageSource, PartitionEntry, ReplayRequest, TaskCommit,
-    TaskEntry,
 };
 use quokka_gcs::Gcs;
 use quokka_net::DataPlane;
@@ -182,15 +183,14 @@ impl Services {
         }
     }
 
-    /// Register every channel and its first task in the GCS, before any
-    /// worker starts. Chaos events due before the first commit raise the
-    /// barrier here, so they too land before any task commits.
+    /// Register every channel, and with it its first task, in the GCS,
+    /// before any worker starts. Chaos events due before the first commit
+    /// raise the barrier here, so they too land before any task commits.
     pub fn register_channels(&self) {
         for addr in self.layout.all_channels() {
             let worker = self.layout.initial_worker(addr);
             let upstream = self.layout.upstream_channels(addr.stage).len();
             self.gcs.put_channel(&ChannelState::new(addr, worker, upstream));
-            self.gcs.put_task(&TaskEntry { task: addr.task(0), worker });
         }
         if self.chaos.has_fired() {
             self.gcs.set_paused(true);
@@ -288,6 +288,19 @@ impl Services {
             .map(|_| {
                 Duration::from_micros(self.straggler_micros[worker as usize].load(Ordering::SeqCst))
             })
+    }
+
+    /// The metrics of an attempt that completed after `elapsed`: the
+    /// registry's snapshot plus the GCS's lineage bytes and transaction
+    /// count, and the effective robustness settings, so tests (and callers)
+    /// can assert what the run actually used.
+    pub fn finished_metrics(&self, elapsed: Duration) -> QueryMetrics {
+        let mut snapshot = self.metrics.snapshot(elapsed);
+        snapshot.lineage_bytes = self.gcs.lineage_bytes();
+        snapshot.gcs_transactions = self.gcs.transactions();
+        snapshot.effective_watchdog = self.config.watchdog;
+        snapshot.effective_suspicion_timeout = self.config.cluster.suspicion_timeout;
+        snapshot
     }
 
     /// Emit one committed sink partition to the result stream. A send
@@ -521,8 +534,9 @@ impl StageWorker {
         progressed
     }
 
-    /// Try to execute the outstanding task of one channel. Returns whether a
-    /// task was committed.
+    /// Try to execute the outstanding task of one channel, whose `state`
+    /// the caller read from the GCS: it is hosted on this worker and not
+    /// done. Returns whether a task was committed.
     fn try_task(&mut self, state: &ChannelState) -> Result<bool> {
         let services = Arc::clone(&self.services);
         let layout = &services.layout;
@@ -540,13 +554,7 @@ impl StageWorker {
             }
         }
 
-        let Some(task) = services.gcs.get_task(addr) else {
-            return Ok(false);
-        };
-        if task.worker != self.worker {
-            return Ok(false);
-        }
-        let seq = task.task.seq;
+        let seq = state.next_seq();
 
         // Synchronise the local operator instance with the GCS's view of the
         // channel (handles first contact, rewinds and reassignment).
@@ -663,8 +671,6 @@ impl StageWorker {
             // Sink stage: the output is the query result.
             None => (Vec::new(), outputs),
         };
-        let partition_bytes = slices.iter().map(|(_, s)| s.payload().len() as u64).sum::<u64>()
-            + result.iter().map(|b| b.byte_size() as u64).sum::<u64>();
         for (consumer_addr, slice) in &slices {
             if strategy.upstream_backup() {
                 // The backup store only sees encoded bytes; record the plain
@@ -689,7 +695,7 @@ impl StageWorker {
             let rt = self.channels.get_mut(&addr).expect("runtime present");
             if layout.graph.stage(self.stage).is_stateful()
                 && interval_tasks > 0
-                && seq % interval_tasks == 0
+                && seq.is_multiple_of(interval_tasks)
             {
                 let state_bytes = rt.op.state_bytes();
                 services.metrics.add_checkpoint_bytes(state_bytes as u64);
@@ -720,11 +726,6 @@ impl StageWorker {
                 new_state.rewind_until = None;
             }
         }
-        let next_task = if new_state.done {
-            None
-        } else {
-            Some(TaskEntry { task: addr.task(seq + 1), worker: self.worker })
-        };
         let tally = CommitTally {
             worker: self.worker,
             splits: u64::from(new_state.splits_consumed - state.splits_consumed),
@@ -738,19 +739,15 @@ impl StageWorker {
                 source: lineage_source,
                 finished_inputs: to_finish.clone(),
                 finalize,
-                output_rows,
-                output_bytes: partition_bytes,
             },
             partition: PartitionEntry {
                 name: out_name,
                 owner: self.worker,
                 backed_up: strategy.upstream_backup() && consumer.is_some(),
                 spooled: strategy.spools() && consumer.is_some(),
-                bytes: partition_bytes,
             },
             channel_state: new_state.clone(),
             prev_channel: Some(state.clone()),
-            next_task,
         };
 
         // The channel's operator has already absorbed this task's inputs, so
@@ -781,20 +778,14 @@ impl StageWorker {
                 self.channels.remove(&addr);
                 return Ok(false);
             }
-            let channel_untouched = services
-                .gcs
-                .get_channel(addr)
-                .map(|c| {
-                    c.worker == self.worker
-                        && c.committed_seq == state.committed_seq
-                        && c.rewind_until == state.rewind_until
-                })
-                .unwrap_or(false)
-                && services
-                    .gcs
-                    .get_task(addr)
-                    .map(|t| t.task.seq == seq && t.worker == self.worker)
-                    .unwrap_or(false);
+            // Give the task up once recovery has rewound or moved the
+            // channel; the commit's compare-and-swap on `prev_channel`
+            // guards the commit itself.
+            let channel_untouched = services.gcs.get_channel(addr).is_some_and(|c| {
+                c.worker == self.worker
+                    && c.committed_seq == state.committed_seq
+                    && c.rewind_until == state.rewind_until
+            });
             if !channel_untouched {
                 self.channels.remove(&addr);
                 return Ok(false);
@@ -1335,20 +1326,30 @@ mod tests {
         services.plane.push(0, 0, AGG, SCAN.task(seq), &Slice::new(vec![batch])).unwrap();
     }
 
-    /// Commit scan output `seq`'s lineage and the scan channel's new state.
+    /// Commit scan output `seq`: its lineage, its partition and the scan
+    /// channel's new state.
     fn commit(services: &Services, seq: SeqNo, last: bool) {
-        services.gcs.put_lineage(&LineageRecord {
-            task: SCAN.task(seq),
-            source: LineageSource::InputSplits { splits: vec![] },
-            finished_inputs: vec![],
-            finalize: last,
-            output_rows: 0,
-            output_bytes: 0,
-        });
         let mut state = services.gcs.get_channel(SCAN).unwrap();
         state.committed_seq = Some(seq);
         state.done = last;
-        services.gcs.put_channel(&state);
+        let commit = TaskCommit {
+            worker: 0,
+            lineage: LineageRecord {
+                task: SCAN.task(seq),
+                source: LineageSource::InputSplits { splits: vec![] },
+                finished_inputs: vec![],
+                finalize: last,
+            },
+            partition: PartitionEntry {
+                name: SCAN.task(seq),
+                owner: 0,
+                backed_up: false,
+                spooled: false,
+            },
+            channel_state: state,
+            prev_channel: None,
+        };
+        services.gcs.commit_task(&commit, false).unwrap();
     }
 
     fn produce(services: &Services, seq: SeqNo, rows: &[(i64, i64)], last: bool) {
@@ -1455,7 +1456,6 @@ mod tests {
         let mut rewound = ChannelState::new(AGG, 0, 1);
         rewound.rewind_until = committed;
         services.gcs.put_channel(&rewound);
-        services.gcs.put_task(&TaskEntry { task: AGG.task(0), worker: 0 });
         for (seq, rows) in inputs.iter().enumerate() {
             push(&services, seq as SeqNo, rows);
         }

@@ -8,10 +8,14 @@
 //! poll the GCS; the coordinator performs fault recovery purely by editing
 //! the GCS ("reconciliation", §IV-C).
 //!
+//! Here the task table `G.T` is part of the channel registry: a channel's
+//! outstanding task is its `(next_seq, worker)`, so an Algorithm 1 commit
+//! writes exactly a lineage record, a partition entry and a channel state.
+//!
 //! This crate provides:
 //!
 //! * [`tables`] — the [`Gcs`]: one typed table per key space (lineage,
-//!   tasks, channels, partitions, replays, control flags) behind one lock.
+//!   channels, partitions, replays, control flags) behind one lock.
 //!   Algorithm 1's commit checks and applies everything under that lock. A
 //!   configurable per-call latency models the head-node round trip.
 //! * [`remote`] — the process-mode protocol: a pooled TCP client, the
@@ -24,11 +28,12 @@
 //! paper's Redis), which is why committing lineage to it counts as
 //! "persistent" in the write-ahead-lineage protocol.
 
+#[cfg(test)]
+mod codec_fuzz;
 pub mod remote;
 pub mod tables;
 
 pub use remote::ControlClient;
 pub use tables::{
     ChannelState, Gcs, LineageRecord, LineageSource, PartitionEntry, ReplayRequest, TaskCommit,
-    TaskEntry,
 };

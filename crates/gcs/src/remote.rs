@@ -22,7 +22,6 @@
 
 use crate::tables::{
     ChannelState, LineageRecord, LineageSource, PartitionEntry, ReplayRequest, TaskCommit,
-    TaskEntry,
 };
 use quokka_batch::wire::{self, WireReader};
 use quokka_common::ids::{ChannelAddr, TaskName};
@@ -38,8 +37,6 @@ pub const OP_GCS: u8 = 1;
 /// Durable-object-store access (served by the engine's control server).
 pub const OP_DURABLE_GET: u8 = 20;
 pub const OP_DURABLE_PUT: u8 = 21;
-pub const OP_DURABLE_CONTAINS: u8 = 22;
-pub const OP_DURABLE_LIST: u8 = 23;
 /// Read one base-table split, projected to the requested columns.
 pub const OP_DURABLE_READ_SPLIT: u8 = 24;
 /// Forward one committed sink partition to the driver's result stream.
@@ -308,7 +305,7 @@ macro_rules! record {
 }
 record!(ChannelAddr { stage, channel });
 record!(TaskName { stage, channel, seq });
-record!(LineageRecord { task, source, finished_inputs, finalize, output_rows, output_bytes });
+record!(LineageRecord { task, source, finished_inputs, finalize });
 record!(ChannelState {
     addr,
     worker,
@@ -318,10 +315,9 @@ record!(ChannelState {
     done,
     rewind_until
 });
-record!(TaskEntry { task, worker });
-record!(PartitionEntry { name, owner, backed_up, spooled, bytes });
+record!(PartitionEntry { name, owner, backed_up, spooled });
 record!(ReplayRequest { owner, partition, consumer, attempts });
-record!(TaskCommit { worker, lineage, partition, channel_state, prev_channel, next_task });
+record!(TaskCommit { worker, lineage, partition, channel_state, prev_channel });
 
 const SOURCE_UPSTREAM: u8 = 0;
 const SOURCE_SPLITS: u8 = 1;
@@ -410,19 +406,15 @@ mod tests {
                 source: LineageSource::Finalize,
                 finished_inputs: vec![],
                 finalize: false,
-                output_rows: 1,
-                output_bytes: 8,
             },
             partition: PartitionEntry {
                 name: channel.task(seq),
                 owner: 0,
                 backed_up: true,
                 spooled: false,
-                bytes: 8,
             },
             channel_state: state,
             prev_channel: prev,
-            next_task: Some(TaskEntry { task: channel.task(seq + 1), worker: 0 }),
         }
     }
 
@@ -435,17 +427,16 @@ mod tests {
 
         // Writes through the remote handle land in the driver's tables and
         // read back identically through either handle.
+        let commit = commit_of(channel, None);
         gcs.put_channel(&ChannelState::new(channel, 0, 1));
-        gcs.put_task(&TaskEntry { task: channel.task(0), worker: 0 });
-        gcs.commit_task(&commit_of(channel, None), false).unwrap();
+        gcs.commit_task(&commit, false).unwrap();
         gcs.add_replay(&replay);
         gcs.mark_partition_lost(channel.task(0));
         gcs.set_query_error("boom");
         for handle in [&gcs, &*authority] {
-            assert_eq!(handle.get_channel(channel).unwrap().committed_seq, Some(0));
-            assert_eq!(handle.get_task(channel).unwrap().task, channel.task(1));
-            assert!(handle.lineage_committed(channel.task(0)));
-            assert_eq!(handle.get_partition(channel.task(0)).unwrap().bytes, 8);
+            assert_eq!(handle.get_channel(channel).unwrap().next_seq(), 1);
+            assert_eq!(handle.get_lineage(channel.task(0)).as_ref(), Some(&commit.lineage));
+            assert_eq!(handle.get_partition(channel.task(0)).as_ref(), Some(&commit.partition));
             assert_eq!(handle.replays_for_worker(2), vec![replay.clone()]);
             assert_eq!(handle.query_error().as_deref(), Some("boom"));
             assert_eq!(handle.all_channels().len(), 1);
@@ -538,8 +529,8 @@ mod tests {
         // claims four billion entries.
         let mut long = frame.clone();
         long.push(0);
-        let mut huge = vec![call::PUT_LINEAGE];
-        channel.task(0).put(&mut huge);
+        let mut huge = vec![call::COMMIT_TASK];
+        (0u32, channel.task(0)).put(&mut huge);
         huge.push(SOURCE_FINALIZE);
         huge.extend_from_slice(&u32::MAX.to_be_bytes());
         for garbage in [&long[..], &[200], &huge] {

@@ -7,16 +7,22 @@
 //! | table        | key                              | contents                                                   |
 //! |--------------|----------------------------------|------------------------------------------------------------|
 //! | lineage      | [`TaskName`]                     | committed lineage records, `G.L` in Algorithms 1 and 2      |
-//! | tasks        | [`ChannelAddr`]                  | outstanding tasks (one per channel), `G.T`                   |
-//! | channels     | [`ChannelAddr`]                  | channel registry: worker placement, watermarks, completion  |
+//! | channels     | [`ChannelAddr`]                  | channel registry: placement, watermarks, completion, `G.T`  |
 //! | partitions   | [`TaskName`]                     | partition directory: which outputs exist on which machines  |
 //! | replays      | `(owner, partition, consumer)`   | replay requests created by the recovery coordinator          |
 //! | lost         | [`TaskName`]                     | committed partitions whose backing bytes proved unreadable  |
 //! | flags        | —                                | pause barrier, failed workers, query completion and error   |
 //!
+//! The paper's task table `G.T` holds one outstanding task per channel.
+//! Here it is no table of its own: a channel's outstanding task is
+//! [`ChannelState::next_seq`] on [`ChannelState::worker`], and a `done`
+//! channel has none. Every write of a channel state therefore also writes
+//! its task, and the two cannot disagree.
+//!
 //! Every call takes the lock once. [`Gcs::commit_task`], the single
 //! transaction of Algorithm 1, checks its three abort conditions and applies
-//! all of its writes under that one lock.
+//! all of its writes (lineage, partition entry, channel state) under that
+//! one lock.
 //!
 //! [`Gcs::transactions`] counts committed writes: every call that writes
 //! counts one, a removal counts one per entry it removes (so removing an
@@ -69,10 +75,6 @@ pub struct LineageRecord {
     /// Whether this task finalized the channel (emitted the operator's final
     /// output and marked the channel done).
     pub finalize: bool,
-    /// Rows in the task's output partition (diagnostics only).
-    pub output_rows: u64,
-    /// Encoded bytes of the task's output partition (diagnostics only).
-    pub output_bytes: u64,
 }
 
 /// Registry entry for one channel.
@@ -114,7 +116,9 @@ impl ChannelState {
         }
     }
 
-    /// Sequence number of the next task to run in this channel.
+    /// Sequence number of the channel's outstanding task, the paper's `G.T`
+    /// entry: it runs on [`worker`](Self::worker) unless the channel is
+    /// `done`.
     pub fn next_seq(&self) -> SeqNo {
         self.committed_seq.map(|s| s + 1).unwrap_or(0)
     }
@@ -123,15 +127,6 @@ impl ChannelState {
     pub fn outputs_produced(&self) -> u32 {
         self.committed_seq.map(|s| s + 1).unwrap_or(0)
     }
-}
-
-/// An outstanding task (`G.T`). There is at most one per channel because
-/// tasks within a channel execute sequentially.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskEntry {
-    pub task: TaskName,
-    /// Worker the task is assigned to (the worker hosting its channel).
-    pub worker: WorkerId,
 }
 
 /// Directory entry describing where one output partition lives.
@@ -145,8 +140,6 @@ pub struct PartitionEntry {
     pub backed_up: bool,
     /// Whether a durable copy exists in the object store (spooling mode).
     pub spooled: bool,
-    /// Encoded size in bytes (all consumers' slices combined).
-    pub bytes: u64,
 }
 
 /// A replay request: `owner` should re-push its backed-up slice of partition
@@ -170,8 +163,8 @@ impl ReplayRequest {
 }
 
 /// Everything the Algorithm-1 commit writes in a single transaction: the
-/// lineage record, the partition directory entry, the updated channel state,
-/// and the removal/insertion of entries in the task table.
+/// lineage record, the partition directory entry and the updated channel
+/// state, which also names the channel's next task.
 #[derive(Debug, Clone)]
 pub struct TaskCommit {
     /// Worker performing the commit; the transaction aborts if this worker
@@ -187,9 +180,6 @@ pub struct TaskCommit {
     /// between the worker's ownership check and its commit) abort instead
     /// of clobbering the coordinator's writes.
     pub prev_channel: Option<ChannelState>,
-    /// The next task to enqueue for this channel, or `None` if the channel
-    /// is done.
-    pub next_task: Option<TaskEntry>,
 }
 
 // ---------------------------------------------------------------------------
@@ -201,7 +191,6 @@ pub struct TaskCommit {
 struct Tables {
     lineage: BTreeMap<TaskName, LineageRecord>,
     channels: BTreeMap<ChannelAddr, ChannelState>,
-    tasks: BTreeMap<ChannelAddr, TaskEntry>,
     partitions: BTreeMap<TaskName, PartitionEntry>,
     /// Replay requests by `(owner, partition, consumer)`. The attempt count
     /// is the value, so re-queuing a request overwrites rather than
@@ -225,12 +214,9 @@ pub(crate) mod call {
     pub const LINEAGE_BYTES: u8 = 2;
     pub const LINEAGE_COMMITTED: u8 = 3;
     pub const GET_LINEAGE: u8 = 4;
-    pub const PUT_LINEAGE: u8 = 5;
     pub const PUT_CHANNEL: u8 = 6;
     pub const GET_CHANNEL: u8 = 7;
     pub const ALL_CHANNELS: u8 = 8;
-    pub const PUT_TASK: u8 = 9;
-    pub const GET_TASK: u8 = 10;
     pub const GET_PARTITION: u8 = 11;
     pub const ADD_REPLAY: u8 = 12;
     pub const REPLAYS_FOR_WORKER: u8 = 13;
@@ -352,15 +338,6 @@ impl Gcs {
         self.call(call::GET_LINEAGE, &task, |t| t.lineage.get(&task).cloned())
     }
 
-    /// Insert a lineage record outside a task commit.
-    pub fn put_lineage(&self, record: &LineageRecord) {
-        self.call(call::PUT_LINEAGE, record, |t| {
-            t.lineage_bytes += record.encoded_len();
-            t.lineage.insert(record.task, record.clone());
-            t.transactions += 1;
-        })
-    }
-
     // -- channel registry ---------------------------------------------------
 
     pub fn put_channel(&self, state: &ChannelState) {
@@ -377,19 +354,6 @@ impl Gcs {
     /// Every registered channel, in address order.
     pub fn all_channels(&self) -> Vec<ChannelState> {
         self.call(call::ALL_CHANNELS, &(), |t| t.channels.values().cloned().collect())
-    }
-
-    // -- task table ---------------------------------------------------------
-
-    pub fn put_task(&self, entry: &TaskEntry) {
-        self.call(call::PUT_TASK, entry, |t| {
-            t.tasks.insert(entry.task.channel_addr(), entry.clone());
-            t.transactions += 1;
-        })
-    }
-
-    pub fn get_task(&self, ch: ChannelAddr) -> Option<TaskEntry> {
-        self.call(call::GET_TASK, &ch, |t| t.tasks.get(&ch).cloned())
     }
 
     // -- partition directory -------------------------------------------------
@@ -531,9 +495,9 @@ impl Gcs {
     // -- the Algorithm-1 commit ----------------------------------------------
 
     /// Atomically commit a finished task: write its lineage, register its
-    /// output partition, update the channel state (watermarks, committed
-    /// sequence number, done flag) and replace the channel's outstanding
-    /// task with the next one. The transaction aborts if the recovery
+    /// output partition and update the channel state (watermarks, committed
+    /// sequence number, done flag), which also advances the channel's
+    /// outstanding task. The transaction aborts if the recovery
     /// barrier is raised, if the committing worker has been marked failed,
     /// or if the stored channel state no longer equals `prev_channel`.
     /// With `raise_barrier` the same transaction raises the barrier: the
@@ -559,10 +523,6 @@ impl Gcs {
             t.lineage.insert(commit.lineage.task, commit.lineage.clone());
             t.partitions.insert(commit.partition.name, commit.partition.clone());
             t.channels.insert(channel, commit.channel_state.clone());
-            match &commit.next_task {
-                Some(next) => t.tasks.insert(channel, next.clone()),
-                None => t.tasks.remove(&channel),
-            };
             t.paused |= raise_barrier;
             t.transactions += 1;
             Ok(())
@@ -594,12 +554,9 @@ impl Gcs {
             call::LINEAGE_BYTES => answer(frame, |()| self.lineage_bytes()),
             call::LINEAGE_COMMITTED => answer(frame, |task| self.lineage_committed(task)),
             call::GET_LINEAGE => answer(frame, |task| self.get_lineage(task)),
-            call::PUT_LINEAGE => answer(frame, |record| self.put_lineage(&record)),
             call::PUT_CHANNEL => answer(frame, |state| self.put_channel(&state)),
             call::GET_CHANNEL => answer(frame, |addr| self.get_channel(addr)),
             call::ALL_CHANNELS => answer(frame, |()| self.all_channels()),
-            call::PUT_TASK => answer(frame, |entry| self.put_task(&entry)),
-            call::GET_TASK => answer(frame, |addr| self.get_task(addr)),
             call::GET_PARTITION => answer(frame, |name| self.get_partition(name)),
             call::ADD_REPLAY => answer(frame, |request| self.add_replay(&request)),
             call::REPLAYS_FOR_WORKER => answer(frame, |worker| self.replays_for_worker(worker)),
@@ -644,13 +601,13 @@ mod tests {
             },
             finished_inputs: vec![0],
             finalize: false,
-            output_rows: 100,
-            output_bytes: 2048,
         }
     }
 
-    /// A commit of task `seq` of `channel` on worker 0, enqueueing the next.
+    /// A commit of task `seq` of `channel` on worker 0.
     fn commit_of(channel: ChannelAddr, seq: SeqNo) -> TaskCommit {
+        let mut state = ChannelState::new(channel, 0, 1);
+        state.committed_seq = Some(seq);
         TaskCommit {
             worker: 0,
             lineage: lineage(channel.task(seq)),
@@ -659,11 +616,9 @@ mod tests {
                 owner: 0,
                 backed_up: true,
                 spooled: false,
-                bytes: 64,
             },
-            channel_state: ChannelState::new(channel, 0, 1),
+            channel_state: state,
             prev_channel: None,
-            next_task: Some(TaskEntry { task: channel.task(seq + 1), worker: 0 }),
         }
     }
 
@@ -690,14 +645,8 @@ mod tests {
             LineageSource::InputSplits { splits: vec![] },
             LineageSource::Finalize,
         ] {
-            let rec = LineageRecord {
-                task: t,
-                source,
-                finished_inputs: vec![1, 0],
-                finalize: true,
-                output_rows: 5,
-                output_bytes: 9,
-            };
+            let rec =
+                LineageRecord { task: t, source, finished_inputs: vec![1, 0], finalize: true };
             assert_eq!(roundtrip(&rec), rec);
             assert_eq!(rec.encoded_len() as usize, {
                 let mut buf = Vec::new();
@@ -735,15 +684,11 @@ mod tests {
     #[test]
     fn task_and_partition_roundtrip() {
         let addr = ChannelAddr::new(1, 1);
-        let entry = TaskEntry { task: addr.task(9), worker: 2 };
-        assert_eq!(roundtrip(&entry), entry);
-
         let part = PartitionEntry {
             name: TaskName::new(1, 1, 9),
             owner: 2,
             backed_up: true,
             spooled: false,
-            bytes: 4096,
         };
         assert_eq!(roundtrip(&part), part);
 
@@ -754,8 +699,12 @@ mod tests {
             TaskCommit { prev_channel: Some(ChannelState::new(addr, 2, 1)), ..commit_of(addr, 9) };
         let decoded = roundtrip(&commit);
         assert_eq!(
-            (decoded.lineage, decoded.partition, decoded.prev_channel, decoded.next_task),
-            (commit.lineage, commit.partition, commit.prev_channel, commit.next_task)
+            (decoded.worker, decoded.lineage, decoded.partition),
+            (commit.worker, commit.lineage, commit.partition)
+        );
+        assert_eq!(
+            (decoded.channel_state, decoded.prev_channel),
+            (commit.channel_state, commit.prev_channel)
         );
     }
 
@@ -764,13 +713,15 @@ mod tests {
         let gcs = Gcs::default();
         let t = TaskName::new(1, 0, 0);
         assert!(!gcs.lineage_committed(t));
-        gcs.put_lineage(&lineage(t));
-        gcs.put_lineage(&lineage(TaskName::new(1, 0, 1)));
-        gcs.put_lineage(&lineage(TaskName::new(1, 1, 0)));
+        for (channel, seq) in
+            [(t.channel_addr(), 0), (t.channel_addr(), 1), (ChannelAddr::new(1, 1), 0)]
+        {
+            gcs.commit_task(&commit_of(channel, seq), false).unwrap();
+        }
         assert!(gcs.lineage_committed(t));
         assert!(gcs.lineage_committed(TaskName::new(1, 1, 0)));
         assert!(!gcs.lineage_committed(TaskName::new(1, 1, 1)));
-        assert_eq!(gcs.get_lineage(t).unwrap().output_rows, 100);
+        assert_eq!(gcs.get_lineage(t), Some(lineage(t)));
         assert!(gcs.get_lineage(TaskName::new(2, 0, 0)).is_none());
         assert_eq!(gcs.lineage_bytes(), 3 * lineage(t).encoded_len());
     }
@@ -786,13 +737,16 @@ mod tests {
         assert_eq!(all.iter().map(|c| c.addr).collect::<Vec<_>>(), vec![a, b]);
         assert_eq!(gcs.get_channel(b).unwrap().worker, 1);
 
-        assert!(gcs.get_task(a).is_none());
-        gcs.put_task(&TaskEntry { task: a.task(0), worker: 0 });
-        gcs.put_task(&TaskEntry { task: b.task(0), worker: 1 });
-        assert_eq!(gcs.get_task(b).unwrap().worker, 1);
-        gcs.put_task(&TaskEntry { task: a.task(1), worker: 2 });
-        assert_eq!(gcs.get_task(a).unwrap(), TaskEntry { task: a.task(1), worker: 2 });
-        assert_eq!(gcs.get_task(b).unwrap().task, b.task(0));
+        // The channel table is the task table: a channel's outstanding task
+        // is its next sequence number, on the worker hosting it.
+        let task = |addr| gcs.get_channel(addr).map(|c| (c.next_seq(), c.worker));
+        assert_eq!((task(a), task(b)), (Some((0, 0)), Some((0, 1))));
+        gcs.commit_task(&commit_of(a, 0), false).unwrap();
+        assert_eq!((task(a), task(b)), (Some((1, 0)), Some((0, 1))));
+        let mut moved = gcs.get_channel(a).unwrap();
+        moved.worker = 2;
+        gcs.put_channel(&moved);
+        assert_eq!(task(a), Some((1, 2)));
     }
 
     #[test]
@@ -878,16 +832,14 @@ mod tests {
                 owner: 0,
                 backed_up: true,
                 spooled: false,
-                bytes: 2048,
             },
             channel_state: state.clone(),
             prev_channel: None,
-            next_task: Some(TaskEntry { task: channel.task(1), worker: 0 }),
         };
         gcs.commit_task(&commit, false).unwrap();
         assert!(gcs.lineage_committed(channel.task(0)));
         assert_eq!(gcs.get_channel(channel).unwrap().consumed, vec![4]);
-        assert_eq!(gcs.get_task(channel).unwrap().task.seq, 1);
+        assert_eq!(gcs.get_channel(channel).unwrap().next_seq(), 1);
         assert!(gcs.get_partition(channel.task(0)).unwrap().backed_up);
 
         // A commit carrying a stale prev-channel snapshot aborts: the
@@ -935,7 +887,7 @@ mod tests {
     fn commit_with_no_next_task_marks_channel_done() {
         let gcs = Gcs::default();
         let channel = ChannelAddr::new(2, 1);
-        gcs.put_task(&TaskEntry { task: channel.task(5), worker: 1 });
+        gcs.put_channel(&ChannelState::new(channel, 1, 1));
         let mut state = ChannelState::new(channel, 1, 1);
         state.committed_seq = Some(5);
         state.done = true;
@@ -946,30 +898,27 @@ mod tests {
                 source: LineageSource::Finalize,
                 finished_inputs: vec![],
                 finalize: true,
-                output_rows: 1,
-                output_bytes: 10,
             },
             partition: PartitionEntry {
                 name: channel.task(5),
                 owner: 1,
                 backed_up: false,
                 spooled: false,
-                bytes: 10,
             },
             channel_state: state,
             prev_channel: None,
-            next_task: None,
         };
         gcs.commit_task(&commit, false).unwrap();
-        assert!(gcs.get_task(channel).is_none());
+        // A done channel has no outstanding task.
         assert!(gcs.get_channel(channel).unwrap().done);
+        assert!(gcs.lineage_committed(channel.task(5)));
+        assert!(!gcs.get_partition(channel.task(5)).unwrap().backed_up);
     }
 
     #[test]
     fn transactions_count_writes_but_not_aborts_or_absent_removals() {
         let gcs = Gcs::default();
         let channel = ChannelAddr::new(1, 0);
-        let task = TaskEntry { task: channel.task(0), worker: 0 };
         let replay = ReplayRequest::new(0, channel.task(0), ChannelAddr::new(2, 0));
         let counted = |step: &dyn Fn(&Gcs)| {
             let before = gcs.transactions();
@@ -977,9 +926,7 @@ mod tests {
             gcs.transactions() - before
         };
         assert_eq!(counted(&|g| g.put_channel(&ChannelState::new(channel, 0, 1))), 1);
-        assert_eq!(counted(&|g| g.put_task(&task)), 1);
         assert_eq!(counted(&|g| g.commit_task(&commit_of(channel, 0), false).unwrap()), 1);
-        assert_eq!(counted(&|g| g.put_lineage(&lineage(channel.task(9)))), 1);
         assert_eq!(counted(&|g| g.add_replay(&replay)), 1);
         assert_eq!(counted(&|g| g.add_replay(&replay)), 1, "a re-queue writes");
         assert_eq!(counted(&|g| assert!(g.remove_replay(&replay))), 1);
@@ -1000,7 +947,7 @@ mod tests {
         assert_eq!(counted(&|g| g.set_query_error("boom")), 1);
         assert_eq!(counted(&|g| g.set_query_done()), 1);
         let reads = |g: &Gcs| {
-            let _ = (g.get_channel(channel), g.get_task(channel), g.all_channels());
+            let _ = (g.get_channel(channel), g.all_channels());
             let _ = (g.lineage_committed(channel.task(0)), g.get_lineage(channel.task(0)));
             let _ = (g.get_partition(channel.task(0)), g.replays_for_worker(0));
             let _ = (g.is_paused(), g.is_worker_failed(0), g.is_query_done());

@@ -59,10 +59,6 @@ impl FlightServer {
         *self.arrival.write() = Some(hook);
     }
 
-    pub fn worker(&self) -> WorkerId {
-        self.worker
-    }
-
     /// Accept a pushed slice. Fails if this worker has been killed.
     pub fn push(
         &self,
@@ -138,13 +134,6 @@ impl FlightServer {
         self.inbox.read().get(&SliceKey { consumer, producer }).cloned()
     }
 
-    /// Drop every slice destined for `consumer` (used when a channel is
-    /// rewound: stale pushed slices must not be double-consumed; the rewound
-    /// producer will re-push them).
-    pub fn clear_consumer(&self, consumer: ChannelAddr) {
-        self.inbox.write().retain(|k, _| k.consumer != consumer);
-    }
-
     /// Number of slices waiting.
     pub fn len(&self) -> usize {
         self.inbox.read().len()
@@ -207,19 +196,6 @@ mod tests {
         let avail = fs.available_from(consumer, upstream, 2);
         assert_eq!(avail, vec![upstream.task(2), upstream.task(4), upstream.task(7)]);
         assert_eq!(fs.available_from(consumer, upstream, 8), vec![]);
-    }
-
-    #[test]
-    fn clear_consumer_only_affects_that_channel() {
-        let fs = FlightServer::new(0);
-        let a = ChannelAddr::new(1, 0);
-        let b = ChannelAddr::new(1, 1);
-        fs.push(a, TaskName::new(0, 0, 0), vec![]).unwrap();
-        fs.push(b, TaskName::new(0, 0, 0), vec![]).unwrap();
-        fs.clear_consumer(a);
-        assert!(!fs.has_slice(a, TaskName::new(0, 0, 0)));
-        assert!(fs.has_slice(b, TaskName::new(0, 0, 0)));
-        assert_eq!(fs.len(), 1);
     }
 
     #[test]

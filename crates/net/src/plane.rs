@@ -154,10 +154,6 @@ impl DataPlane {
         }
     }
 
-    pub fn num_workers(&self) -> u32 {
-        self.servers.len() as u32
-    }
-
     /// The flight server of one worker.
     pub fn server(&self, worker: WorkerId) -> Result<&Arc<FlightServer>> {
         self.servers
@@ -212,16 +208,6 @@ impl DataPlane {
         self.server(worker)?.fail();
         self.transport.fail_peer(worker);
         Ok(())
-    }
-
-    /// Whether a worker's flight server is still alive.
-    pub fn is_worker_alive(&self, worker: WorkerId) -> bool {
-        self.server(worker).map(|s| !s.is_failed()).unwrap_or(false)
-    }
-
-    /// Workers whose flight servers are still alive.
-    pub fn live_workers(&self) -> Vec<WorkerId> {
-        self.servers.iter().filter(|s| !s.is_failed()).map(|s| s.worker()).collect()
     }
 }
 
@@ -329,14 +315,12 @@ mod tests {
     #[test]
     fn failed_worker_rejects_pushes_and_leaves_cluster() {
         let p = plane();
-        assert_eq!(p.live_workers(), vec![0, 1, 2]);
         p.fail_worker(1).unwrap();
-        assert!(!p.is_worker_alive(1));
-        assert!(p.is_worker_alive(0));
-        assert_eq!(p.live_workers(), vec![0, 2]);
+        let alive: Vec<bool> = (0..3).map(|w| !p.server(w).unwrap().is_failed()).collect();
+        assert_eq!(alive, vec![true, false, true]);
         let err = p.push(0, 1, ChannelAddr::new(1, 0), TaskName::new(0, 0, 0), &Slice::new(vec![]));
         assert!(matches!(err, Err(QuokkaError::WorkerFailed(1))));
-        assert_eq!(p.num_workers(), 3);
+        p.push(0, 2, ChannelAddr::new(1, 0), TaskName::new(0, 0, 0), &Slice::new(vec![])).unwrap();
     }
 
     #[test]

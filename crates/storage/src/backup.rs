@@ -41,10 +41,6 @@ impl LocalBackupStore {
         }
     }
 
-    pub fn worker(&self) -> WorkerId {
-        self.worker
-    }
-
     /// Write one slice. Charges the local-disk cost model and fails if the
     /// worker has already been killed.
     pub fn put(
@@ -74,39 +70,6 @@ impl LocalBackupStore {
             .ok_or_else(|| QuokkaError::NotFound(format!("backup slice {partition}->{consumer}")))
     }
 
-    /// Whether a slice exists (and the worker is alive).
-    pub fn contains(&self, partition: PartitionName, consumer: ChannelAddr) -> bool {
-        !self.failed.load(Ordering::SeqCst)
-            && self.slices.read().contains_key(&(partition, consumer))
-    }
-
-    /// All slices currently held for a given producer partition.
-    pub fn slices_of(&self, partition: PartitionName) -> Vec<(ChannelAddr, Bytes)> {
-        if self.failed.load(Ordering::SeqCst) {
-            return Vec::new();
-        }
-        self.slices
-            .read()
-            .iter()
-            .filter(|((p, _), _)| *p == partition)
-            .map(|((_, c), v)| (*c, v.clone()))
-            .collect()
-    }
-
-    /// Number of slices held.
-    pub fn len(&self) -> usize {
-        self.slices.read().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.slices.read().is_empty()
-    }
-
-    /// Total bytes held.
-    pub fn byte_size(&self) -> u64 {
-        self.slices.read().values().map(|v| v.len() as u64).sum()
-    }
-
     /// Simulate the loss of this worker: every backed-up slice disappears
     /// and all future operations fail.
     pub fn fail(&self) {
@@ -120,11 +83,6 @@ impl LocalBackupStore {
     /// simple backup re-push.
     pub fn lose_contents(&self) {
         self.slices.write().clear();
-    }
-
-    /// Whether the worker holding this store has been killed.
-    pub fn is_failed(&self) -> bool {
-        self.failed.load(Ordering::SeqCst)
     }
 }
 
@@ -142,24 +100,10 @@ mod tests {
         let s = store();
         let part = TaskName::new(0, 1, 2);
         let consumer = ChannelAddr::new(1, 0);
-        assert!(!s.contains(part, consumer));
+        assert!(matches!(s.get(part, consumer), Err(QuokkaError::NotFound(_))));
         s.put(part, consumer, Bytes::from_static(b"abc")).unwrap();
-        assert!(s.contains(part, consumer));
         assert_eq!(s.get(part, consumer).unwrap(), Bytes::from_static(b"abc"));
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.byte_size(), 3);
         assert!(s.get(part, ChannelAddr::new(1, 1)).is_err());
-    }
-
-    #[test]
-    fn slices_of_returns_all_consumers() {
-        let s = store();
-        let part = TaskName::new(0, 0, 0);
-        s.put(part, ChannelAddr::new(1, 0), Bytes::from_static(b"a")).unwrap();
-        s.put(part, ChannelAddr::new(1, 1), Bytes::from_static(b"b")).unwrap();
-        s.put(TaskName::new(0, 0, 1), ChannelAddr::new(1, 0), Bytes::from_static(b"c")).unwrap();
-        let slices = s.slices_of(part);
-        assert_eq!(slices.len(), 2);
     }
 
     #[test]
@@ -169,15 +113,11 @@ mod tests {
         let consumer = ChannelAddr::new(1, 0);
         s.put(part, consumer, Bytes::from_static(b"abc")).unwrap();
         s.fail();
-        assert!(s.is_failed());
-        assert!(s.is_empty());
-        assert!(!s.contains(part, consumer));
         assert!(matches!(s.get(part, consumer), Err(QuokkaError::WorkerFailed(0))));
         assert!(matches!(
             s.put(part, consumer, Bytes::from_static(b"x")),
             Err(QuokkaError::WorkerFailed(0))
         ));
-        assert!(s.slices_of(part).is_empty());
     }
 
     #[test]
@@ -187,8 +127,6 @@ mod tests {
         let consumer = ChannelAddr::new(1, 0);
         s.put(part, consumer, Bytes::from_static(b"abc")).unwrap();
         s.lose_contents();
-        assert!(!s.is_failed());
-        assert!(s.is_empty());
         // Reads fail with NotFound (retry/repair), not WorkerFailed.
         assert!(matches!(s.get(part, consumer), Err(QuokkaError::NotFound(_))));
         // The store still accepts new writes.
@@ -204,6 +142,5 @@ mod tests {
         s.put(TaskName::new(0, 0, 1), ChannelAddr::new(1, 0), Bytes::from(vec![0u8; 50])).unwrap();
         let snap = metrics.snapshot(std::time::Duration::ZERO);
         assert_eq!(snap.backup_bytes, 150);
-        assert_eq!(s.worker(), 3);
     }
 }

@@ -78,11 +78,6 @@ impl CostModel {
     pub fn charge_durable(&self, bytes: u64) {
         Self::charge(self.durable_delay(bytes));
     }
-
-    /// Sleep for one GCS round trip.
-    pub fn charge_gcs(&self) {
-        Self::charge(self.gcs_delay());
-    }
 }
 
 #[cfg(test)]

@@ -21,10 +21,6 @@ pub trait ObjectStore: Send + Sync + std::fmt::Debug {
     fn put(&self, key: String, payload: Bytes);
     /// GET an object, charging the durable read path.
     fn get(&self, key: &str) -> Result<Bytes>;
-    /// Whether an object exists.
-    fn contains(&self, key: &str) -> bool;
-    /// Keys starting with `prefix`, in order.
-    fn list_prefix(&self, prefix: &str) -> Vec<String>;
     /// Read split `split` of base table `table`, projected to the columns
     /// of `schema` (a scan's pruned schema), charging the durable read
     /// path for the bytes returned.
@@ -38,14 +34,6 @@ impl ObjectStore for DurableObjectStore {
 
     fn get(&self, key: &str) -> Result<Bytes> {
         DurableObjectStore::get(self, key)
-    }
-
-    fn contains(&self, key: &str) -> bool {
-        DurableObjectStore::contains(self, key)
-    }
-
-    fn list_prefix(&self, prefix: &str) -> Vec<String> {
-        DurableObjectStore::list_prefix(self, prefix)
     }
 
     fn read_split(&self, table: &str, split: u64, schema: &Schema) -> Result<Batch> {
@@ -82,12 +70,6 @@ impl DurableObjectStore {
         DurableObjectStore { objects: RwLock::new(BTreeMap::new()), tables, cost, metrics }
     }
 
-    /// A store with no tables, no simulated delays and throw-away metrics
-    /// (tests).
-    pub fn in_memory() -> Self {
-        Self::new(CostModel::free(), MetricsRegistry::new(), BTreeMap::new())
-    }
-
     /// PUT an object, charging the durable write path and the
     /// `durable_bytes` metric.
     pub fn put(&self, key: impl Into<String>, payload: Bytes) {
@@ -108,11 +90,6 @@ impl DurableObjectStore {
         Ok(payload)
     }
 
-    /// GET without charging (used by test assertions).
-    pub fn get_unmetered(&self, key: &str) -> Option<Bytes> {
-        self.objects.read().get(key).cloned()
-    }
-
     /// Read one base-table split, projected to `schema`'s columns. Only
     /// those columns are cloned; nothing is decoded. The read is charged
     /// like a GET of the bytes it returns.
@@ -126,37 +103,6 @@ impl DurableObjectStore {
         self.cost.charge_durable(batch.memory_bytes() as u64);
         Ok(batch)
     }
-
-    pub fn contains(&self, key: &str) -> bool {
-        self.objects.read().contains_key(key)
-    }
-
-    pub fn delete(&self, key: &str) -> bool {
-        self.objects.write().remove(key).is_some()
-    }
-
-    /// Keys starting with `prefix`, in order.
-    pub fn list_prefix(&self, prefix: &str) -> Vec<String> {
-        self.objects
-            .read()
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, _)| k.clone())
-            .collect()
-    }
-
-    pub fn len(&self) -> usize {
-        self.objects.read().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.objects.read().is_empty()
-    }
-
-    /// Total bytes stored.
-    pub fn byte_size(&self) -> u64 {
-        self.objects.read().values().map(|v| v.len() as u64).sum()
-    }
 }
 
 #[cfg(test)]
@@ -165,29 +111,29 @@ mod tests {
     use quokka_batch::{Column, DataType};
     use std::time::Duration;
 
+    /// A store with no tables, no simulated delays and throw-away metrics.
+    fn in_memory() -> DurableObjectStore {
+        DurableObjectStore::new(CostModel::free(), MetricsRegistry::new(), BTreeMap::new())
+    }
+
     #[test]
-    fn put_get_list_delete() {
-        let s = DurableObjectStore::in_memory();
+    fn put_get_and_overwrite() {
+        let s = in_memory();
         s.put("spool/q1/a", Bytes::from_static(b"one"));
         s.put("spool/q1/b", Bytes::from_static(b"two"));
-        s.put("tables/lineitem/0", Bytes::from_static(b"data"));
         assert_eq!(s.get("spool/q1/a").unwrap(), Bytes::from_static(b"one"));
-        assert!(s.get("missing").is_err());
-        assert_eq!(s.list_prefix("spool/"), vec!["spool/q1/a", "spool/q1/b"]);
-        assert_eq!(s.len(), 3);
-        assert!(s.contains("tables/lineitem/0"));
-        assert!(s.delete("spool/q1/a"));
-        assert!(!s.delete("spool/q1/a"));
-        assert_eq!(s.byte_size(), 3 + 4);
+        assert_eq!(s.get("spool/q1/b").unwrap(), Bytes::from_static(b"two"));
+        assert!(matches!(s.get("missing"), Err(QuokkaError::NotFound(_))));
+        s.put("spool/q1/a", Bytes::from_static(b"three"));
+        assert_eq!(s.get("spool/q1/a").unwrap(), Bytes::from_static(b"three"));
     }
 
     #[test]
     fn contents_survive_everything_short_of_delete() {
         // Unlike LocalBackupStore there is no fail(); durability is the point.
-        let s = DurableObjectStore::in_memory();
+        let s = in_memory();
         s.put("k", Bytes::from_static(b"v"));
-        assert_eq!(s.get_unmetered("k").unwrap(), Bytes::from_static(b"v"));
-        assert!(!s.is_empty());
+        assert_eq!(s.get("k").unwrap(), Bytes::from_static(b"v"));
     }
 
     fn table() -> Arc<[Batch]> {

@@ -7,7 +7,7 @@
 //! `partsupp` lists for `l_partkey`, which Q2/Q9/Q20 rely on).
 
 use crate::schema;
-use quokka_batch::datatype::{date_to_days, parse_date};
+use quokka_batch::datatype::parse_date;
 use quokka_batch::{Batch, Column, Schema};
 use quokka_common::rng::DetRng;
 use quokka_common::{QuokkaError, Result};
@@ -610,11 +610,6 @@ impl TpchGenerator {
             ],
         )
     }
-}
-
-/// Convenience: days-since-epoch for the canonical TPC-H "current date".
-pub fn tpch_current_date() -> i32 {
-    date_to_days(1998, 12, 1)
 }
 
 #[cfg(test)]
